@@ -5,7 +5,10 @@ evaluation.  The heavy lifting is one call into
 :class:`repro.sim.experiment.ExperimentRunner`; the ``benchmark`` fixture
 wraps that call (``rounds=1`` -- these are experiments, not micro-benchmarks),
 and the resulting rows are appended to ``benchmarks/results/`` so that
-EXPERIMENTS.md can reference the measured numbers.
+EXPERIMENTS.md can reference the measured numbers.  Reports that carry
+host timings (throughputs, wall seconds) change on every run, so they go
+to the untracked ``benchmarks/results/timing/`` instead and a run leaves
+the tracked tree clean.
 
 Fidelity knobs (environment variables):
 
@@ -42,6 +45,7 @@ from repro.sim.experiment import ExperimentConfig, ExperimentResult, ExperimentR
 from repro.workloads.profile import WorkloadProfile  # noqa: E402
 
 RESULTS_DIR = Path(__file__).resolve().parent / "results"
+TIMING_DIR = RESULTS_DIR / "timing"
 
 BENCH_ACCESSES = int(os.environ.get("REPRO_BENCH_ACCESSES", "40000"))
 BENCH_SCALE = int(os.environ.get("REPRO_BENCH_SCALE", "512"))
@@ -62,6 +66,13 @@ def results_dir() -> Path:
     """Directory collecting the regenerated tables/figures."""
     RESULTS_DIR.mkdir(exist_ok=True)
     return RESULTS_DIR
+
+
+@pytest.fixture(scope="session")
+def timing_dir() -> Path:
+    """Untracked directory for reports that carry host timings."""
+    TIMING_DIR.mkdir(parents=True, exist_ok=True)
+    return TIMING_DIR
 
 
 @pytest.fixture(scope="session")

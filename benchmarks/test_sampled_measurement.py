@@ -53,7 +53,7 @@ CONFIG = ExperimentConfig(scale=512, num_accesses=TRACE_ACCESSES,
                           num_cores=4, seed=1)
 
 
-def test_sampled_unison_matches_full_replay(results_dir):
+def test_sampled_unison_matches_full_replay(timing_dir):
     profile = workload_by_name("Web Search")
     runner = ExperimentRunner(CONFIG)
     trace = cached_trace(runner, profile)
@@ -75,7 +75,7 @@ def test_sampled_unison_matches_full_replay(results_dir):
                             - full.speedup_vs_no_cache)
                         / full.speedup_vs_no_cache)
 
-    write_report(results_dir, "sampled_measurement", [
+    write_report(timing_dir, "sampled_measurement", [
         f"trace: Web Search, {TRACE_ACCESSES} accesses, 4 cores, scale 512",
         f"sampling: {run.windows_measured} windows x "
         f"{SAMPLING.window_accesses} accesses, "
@@ -129,7 +129,7 @@ def test_sampled_unison_matches_full_replay(results_dir):
     )
 
 
-def test_mmap_window_open_does_not_scale_with_offset(results_dir, tmp_path):
+def test_mmap_window_open_does_not_scale_with_offset(timing_dir, tmp_path):
     profile = workload_by_name("Web Search")
     runner = ExperimentRunner(CONFIG)
     trace = cached_trace(runner, profile)
@@ -161,7 +161,7 @@ def test_mmap_window_open_does_not_scale_with_offset(results_dir, tmp_path):
                 lambda offset=offset: reader.read_window(offset,
                                                          offset + window))
 
-    write_report(results_dir, "sampled_window_open", [
+    write_report(timing_dir, "sampled_window_open", [
         f"uncompressed trace: {TRACE_ACCESSES} accesses "
         f"({path.stat().st_size} bytes); window = {window} records,"
         f" best of 7",

@@ -43,7 +43,7 @@ def _timed(fn, repeats=3):
     return best
 
 
-def test_binary_format_size_and_load_speed(results_dir, tmp_path):
+def test_binary_format_size_and_load_speed(timing_dir, tmp_path):
     runner = ExperimentRunner(ExperimentConfig(
         scale=512, num_accesses=TRACE_ACCESSES, num_cores=4, seed=1,
     ))
@@ -67,7 +67,7 @@ def test_binary_format_size_and_load_speed(results_dir, tmp_path):
     bin_load = _timed(lambda: read_trace_bin(bin_path))
     load_ratio = text_load / bin_load
 
-    write_report(results_dir, "trace_formats", [
+    write_report(timing_dir, "trace_formats", [
         f"trace: Web Search, {TRACE_ACCESSES} accesses, 4 cores, scale 512",
         "",
         f"text   size {text_bytes:>10} B   write {text_write:5.2f} s   "

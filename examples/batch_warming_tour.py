@@ -9,8 +9,8 @@ contract from both ends:
 
 1. decode a warm stream once into a structured record array
    (one ``np.frombuffer``-equivalent pack, no per-record objects);
-2. warm one design per engine and time both (the batch engine clears
-   10x on the larger default stream);
+2. warm one design per engine and time both (the batch engine runs
+   several times faster; both engines share the DRAM timing model);
 3. prove bit-identity: the post-warming ``StateSnapshot`` of both designs
    pickles to the same bytes, so every downstream measurement is
    byte-for-byte unaffected by which engine warmed the cache;

@@ -10,7 +10,7 @@ them onto the four-channel DDR-like timing model of Table III.
 from __future__ import annotations
 
 from repro.config.system import DramChannelConfig
-from repro.dram.controller import AccessResult, DramController
+from repro.dram.controller import DramController
 from repro.stats.counters import StatGroup
 from repro.trace.record import BLOCK_SIZE
 
@@ -37,30 +37,35 @@ class StackedDram:
 
     # ------------------------------------------------------------------ #
     def read(self, row_index: int, offset: int, num_bytes: int,
-             now_cpu: int = 0) -> AccessResult:
-        """Read ``num_bytes`` at ``offset`` within a row."""
+             now_cpu: int = 0) -> int:
+        """Read ``num_bytes`` at ``offset`` within a row; returns CPU cycles."""
         return self.controller.access(
-            self.row_address(row_index, offset), num_bytes, now_cpu, is_write=False
+            self.row_address(row_index, offset), num_bytes, now_cpu, False
         )
 
     def write(self, row_index: int, offset: int, num_bytes: int,
-              now_cpu: int = 0) -> AccessResult:
-        """Write ``num_bytes`` at ``offset`` within a row."""
+              now_cpu: int = 0) -> int:
+        """Write ``num_bytes`` at ``offset`` within a row; returns CPU cycles."""
         return self.controller.access(
-            self.row_address(row_index, offset), num_bytes, now_cpu, is_write=True
+            self.row_address(row_index, offset), num_bytes, now_cpu, True
         )
 
     def read_block(self, row_index: int, block_offset_bytes: int,
-                   now_cpu: int = 0) -> AccessResult:
+                   now_cpu: int = 0) -> int:
         """Read one 64-byte data block from a row."""
         return self.read(row_index, block_offset_bytes, BLOCK_SIZE, now_cpu)
 
     def fill_blocks(self, row_index: int, block_offsets_bytes, now_cpu: int = 0) -> int:
-        """Write a batch of blocks into a row (cache fill); returns total cycles."""
+        """Write a batch of blocks into a row (cache fill).
+
+        All writes issue at ``now_cpu``; returns the largest of their
+        latencies (0 for an empty batch).
+        """
         last = 0
         for offset in block_offsets_bytes:
-            result = self.write(row_index, offset, BLOCK_SIZE, now_cpu)
-            last = max(last, result.latency_cpu_cycles)
+            latency = self.write(row_index, offset, BLOCK_SIZE, now_cpu)
+            if latency > last:
+                last = latency
         return last
 
     # ------------------------------------------------------------------ #

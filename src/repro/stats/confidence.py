@@ -2,7 +2,7 @@
 
 The paper follows the SimFlex sampling methodology and reports performance
 "with an average error of less than 2% at a 95% confidence level".  The
-reproduction's sampling driver (:mod:`repro.sim.sampling`) aggregates
+reproduction's sampling driver (:mod:`repro.sampling`) aggregates
 per-sample measurements with the helpers here.
 """
 
