@@ -10,7 +10,7 @@ model and the benchmark suite treat all designs uniformly.
 from __future__ import annotations
 
 import abc
-import copy
+import pickle
 from dataclasses import dataclass
 from typing import Dict, Iterable
 
@@ -38,16 +38,20 @@ class StateSnapshot:
 
     Produced by :meth:`DramCacheModel.snapshot_state` and consumed by
     :meth:`DramCacheModel.restore_state`.  The payload maps attribute names
-    to deep copies of the design's mutable components -- tag/frame arrays,
-    replacement state, predictor tables (footprint, way, singleton, miss),
-    statistics, and the DRAM device models with their timing state -- so one
-    warm checkpoint can seed arbitrarily many downstream measurement windows
-    (the checkpointed-sampling workflow of :mod:`repro.sampling`).  Restoring
-    deep-copies again, leaving the snapshot reusable.
+    to one pickle blob each of the design's mutable components -- tag/frame
+    arrays, replacement state, predictor tables (footprint, way, singleton,
+    miss), statistics, and the DRAM device models with their timing state --
+    so one warm checkpoint can seed arbitrarily many downstream measurement
+    windows (the checkpointed-sampling workflow of :mod:`repro.sampling`).
+    Restoring unpickles each blob into fresh objects; the blobs are
+    immutable bytes, so the snapshot stays reusable and isolated from the
+    live model, and pickling the snapshot itself (the on-disk checkpoint
+    store) writes bytes rather than object graphs.  Each attribute is its
+    own blob, so no object is shared across attributes after a restore.
     """
 
     design_name: str
-    state: Dict[str, object]
+    state: Dict[str, bytes]
 
 
 @dataclass(frozen=True)
@@ -163,7 +167,8 @@ class DramCacheModel(abc.ABC):
         """
         return StateSnapshot(
             design_name=self.design_name,
-            state={name: copy.deepcopy(getattr(self, name))
+            state={name: pickle.dumps(getattr(self, name),
+                                      pickle.HIGHEST_PROTOCOL)
                    for name in self._snapshot_attrs()},
         )
 
@@ -180,8 +185,8 @@ class DramCacheModel(abc.ABC):
                 f"snapshot state keys {sorted(snapshot.state)} do not match "
                 f"this design's state attributes {sorted(expected)}"
             )
-        for name, value in snapshot.state.items():
-            setattr(self, name, copy.deepcopy(value))
+        for name, blob in snapshot.state.items():
+            setattr(self, name, pickle.loads(blob))
 
     # ------------------------------------------------------------------ #
     @property

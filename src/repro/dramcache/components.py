@@ -28,7 +28,7 @@ interchangeable implementations:
 Components are deliberately *device-free*: they hold only their own mutable
 state (tag arrays, predictor tables) and receive the engine -- a
 :class:`repro.dramcache.composed.ComposedDramCache` -- as an argument on
-every call.  That keeps them independently deep-copyable, which is what lets
+every call.  That keeps them independently picklable, which is what lets
 the engine fold component state into the accumulated ``_STATE_ATTRS``
 snapshot mechanism unchanged.
 
@@ -191,10 +191,10 @@ class CachePolicyComponent:
 
     Components never store a reference to the engine or its device models;
     every method receives the engine explicitly.  This keeps a component a
-    self-contained bag of mutable state that ``copy.deepcopy`` (the
-    :class:`~repro.dramcache.base.StateSnapshot` mechanism) and ``pickle``
-    (the on-disk checkpoint store) both handle without dragging the devices
-    along twice.
+    self-contained bag of mutable state that ``pickle`` -- one blob per
+    component in a :class:`~repro.dramcache.base.StateSnapshot`, which the
+    on-disk checkpoint store then persists -- handles without dragging the
+    devices along twice.
     """
 
     #: Kind name the component registers under (reports/``repro designs``).

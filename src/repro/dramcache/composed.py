@@ -29,8 +29,9 @@ a :class:`repro.dramcache.spec.DesignSpec`.
 
 Component state folds into the accumulated ``_STATE_ATTRS`` snapshot
 mechanism: the engine declares its five component slots, so
-:meth:`~repro.dramcache.base.DramCacheModel.snapshot_state` deep-copies the
-components wholesale (they are device-free by construction).
+:meth:`~repro.dramcache.base.DramCacheModel.snapshot_state` pickles each
+component wholesale into its own blob (they are device-free by
+construction).
 """
 
 from __future__ import annotations

@@ -11,17 +11,21 @@ One sampled run of N designs over one trace proceeds as:
    long replay; every window afterwards starts from the checkpoint.
 3. **Measure** -- windows are taken in plan order.  Per window, per design:
    restore the checkpoint, replay the window's short warm-up slice, measure
-   the window.  A fresh no-DRAM-cache baseline replays the *same* window, so
-   per-window speedups are matched pairs.
+   the window.  A no-DRAM-cache baseline replays the *same* window, so
+   per-window speedups are matched pairs.  The baseline replays once per
+   window of a stream per process
+   (:func:`repro.sim.executor.cached_window_baseline`), shared by every
+   design and every sweep trial measured on that window.
 4. **Terminate** -- after each window the
    :class:`~repro.stats.sampling.AdaptiveStopper` checks every tracked
    series (miss ratio and speedup of every design); measurement stops as
    soon as all 95% CIs meet the target relative error, or at the window
    budget.
 
-Everything derives from ``(SamplingConfig, ExperimentConfig, trace)``; no
-global state, so sampled sweeps are bit-identical between the serial and
-process-parallel executors.
+Everything derives from ``(SamplingConfig, ExperimentConfig, trace)``; the
+only process-wide state is that baseline cache, whose entries are
+deterministic in their key, so sampled sweeps are bit-identical between the
+serial and process-parallel executors.
 """
 
 from __future__ import annotations
@@ -29,7 +33,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
-from repro.baselines.no_cache import NoDramCache
 from repro.config.system import SystemConfig
 from repro.dramcache.base import DramCacheModel
 from repro.obs.core import current as obs_current
@@ -352,19 +355,29 @@ class WindowedSampler:
         finally:
             provider.close()
 
-    def _stream_token(self, workload, trace, trace_identity, store) -> str:
+    def _stream_identity(self, workload, trace,
+                         trace_identity) -> Optional[str]:
+        """The authoritative identity of the measured stream, if known.
+
+        An injected sequence need not be the canonical trace of the
+        (workload, config) pair, so only the caller can name it; a stream
+        the sampler opens itself is named by its trace token.
+        """
+        from repro.sampling.checkpoints import trace_token
+
+        if trace is not None:
+            return trace_identity
+        return trace_token(workload, self.config)
+
+    @staticmethod
+    def _stream_token(identity, trace, store) -> str:
         """The checkpoint-keying identity of the measured access stream."""
-        from repro.sampling.checkpoints import sequence_token, trace_token
+        from repro.sampling.checkpoints import sequence_token
 
         if store is None:
             return ""
-        if trace is not None:
-            # An injected sequence need not be the canonical trace of the
-            # (workload, config) pair: key on the caller's authoritative
-            # identity, or failing that on the full sequence content.
-            return (trace_identity if trace_identity is not None
-                    else sequence_token(trace))
-        return trace_token(workload, self.config)
+        # An unnamed injected sequence keys on its full content.
+        return identity if identity is not None else sequence_token(trace)
 
     def _stoppers(self, plan: WindowPlan) -> Dict[str, AdaptiveStopper]:
         """One adaptive stopper per tracked metric, sized to the plan."""
@@ -468,12 +481,14 @@ class WindowedSampler:
     def _compare(self, provider, design_names, labels, workload, capacity,
                  associativity, trace=None,
                  trace_identity=None) -> SampledRun:
+        from repro.sim.executor import cached_window_baseline
+
         obs_run = obs_current()
         plan = plan_windows(provider.total, self.config.warmup_fraction,
                             self.sampling)
         store = self._checkpoint_store()
-        stream_token = self._stream_token(workload, trace, trace_identity,
-                                          store)
+        identity = self._stream_identity(workload, trace, trace_identity)
+        stream_token = self._stream_token(identity, trace, store)
         # The checkpoint prologue is the sampled path's functional warming:
         # it shows up in the ledger under the same "warmup" phase a full
         # replay's warm-up does.
@@ -502,12 +517,12 @@ class WindowedSampler:
                 measure = provider.read(window.start, window.stop)
 
                 # Matched-pair baseline: the same window through a
-                # no-DRAM-cache system (cheap, and stateless beyond DRAM
-                # timing -- a fresh model per window keeps windows
-                # independent).
-                baseline = NoDramCache()
-                baseline.run(measure)
-                baseline_stats = baseline.cache_stats
+                # no-DRAM-cache system, shared by every design here (and,
+                # for a named stream, by later trials on this window).
+                baseline_stats = cached_window_baseline(
+                    identity, window.start, window.stop, measure,
+                    span=measure_span,
+                )
 
                 for label, design, checkpoint, series in designs:
                     design.restore_state(checkpoint)
@@ -559,11 +574,13 @@ class WindowedSampler:
         sampled trial's window plan into independent batches, and each batch
         job calls this with its indices.  Every window starts from the same
         warm checkpoint (loaded from the on-disk store, or rebuilt by one
-        prologue replay) and uses a fresh matched-pair baseline, so a window
-        measured here is bit-identical to the same window measured by the
-        serial :meth:`compare` loop -- regardless of which process, batch,
-        or ordering produced it.
+        prologue replay) and pairs with the window's no-cache baseline (from
+        the process-wide window-baseline cache, so jobs of other designs
+        share it), so a window measured here is bit-identical to the same
+        window measured by the serial :meth:`compare` loop -- regardless of
+        which process, batch, or ordering produced it.
         """
+        from repro.sim.executor import cached_window_baseline
         from repro.sim.registry import DESIGNS
 
         DESIGNS.resolve(design_name)
@@ -574,8 +591,8 @@ class WindowedSampler:
             plan = plan_windows(provider.total, self.config.warmup_fraction,
                                 self.sampling)
             store = self._checkpoint_store()
-            stream_token = self._stream_token(workload, trace, trace_identity,
-                                              store)
+            identity = self._stream_identity(workload, trace, trace_identity)
+            stream_token = self._stream_token(identity, trace, store)
             with obs_run.span("warmup") as warm_span:
                 designs = self._checkpoint_designs(
                     provider, [design_name], [label or design_name],
@@ -596,12 +613,14 @@ class WindowedSampler:
                     warmup = self._read_warm(provider, window.warmup_start,
                                              window.start)
                     measure = provider.read(window.start, window.stop)
-                    baseline = NoDramCache()
-                    baseline.run(measure)
+                    baseline_stats = cached_window_baseline(
+                        identity, window.start, window.stop, measure,
+                        span=measure_span,
+                    )
                     design.restore_state(checkpoint)
                     measurements[index] = self._measure_window(
-                        design, window, warmup, measure,
-                        baseline.cache_stats, workload, span=measure_span,
+                        design, window, warmup, measure, baseline_stats,
+                        workload, span=measure_span,
                     )
                     measure_span.add("windows", 1)
                     if obs_run.enabled:

@@ -40,7 +40,7 @@ from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.dramcache.stats import DramCacheStats
-from repro.obs.core import current as obs_current, start_run
+from repro.obs.core import NULL_SPAN, current as obs_current, start_run
 from repro.sim.experiment import ExperimentResult, ExperimentRunner, Workload
 from repro.sim.resultset import ResultSet
 from repro.sim.spec import ExperimentSpec, SweepSpec
@@ -56,6 +56,10 @@ TraceKey = Tuple[Workload, int, int, int, int]
 # sharing across sweeps and processes never changes results.
 _TRACE_CACHE: Dict[TraceKey, List[MemoryAccess]] = {}
 _BASELINE_CACHE: Dict[Tuple[TraceKey, float], DramCacheStats] = {}
+# Matched-pair baselines of sampled windows, keyed on (stream identity,
+# window start, window stop): every design measured on the same window of
+# the same stream shares one no-cache replay.
+_WINDOW_BASELINE_CACHE: Dict[Tuple[str, int, int], DramCacheStats] = {}
 
 # The process-wide on-disk trace store (see repro.trace.store).  Rebuilt
 # lazily whenever REPRO_TRACE_STORE changes, so tests and callers can point
@@ -85,13 +89,15 @@ def trace_key(profile: Workload,
 
 
 def clear_caches() -> None:
-    """Drop the in-memory trace/baseline caches (mainly for tests).
+    """Drop the in-memory trace, baseline and window-baseline caches.
 
+    Mainly for tests, and between comparative measurements in one process.
     The on-disk :class:`TraceStore` is persistent by design and is *not*
     touched; use ``get_trace_store().clear()`` for that.
     """
     _TRACE_CACHE.clear()
     _BASELINE_CACHE.clear()
+    _WINDOW_BASELINE_CACHE.clear()
 
 
 def cached_trace(runner: ExperimentRunner,
@@ -144,6 +150,37 @@ def cached_baseline(runner: ExperimentRunner, profile: Workload,
     return baseline
 
 
+def cached_window_baseline(identity: Optional[str], start: int, stop: int,
+                           measure: Sequence[MemoryAccess],
+                           span=NULL_SPAN) -> DramCacheStats:
+    """The no-cache baseline of the window ``[start, stop)`` of one stream.
+
+    ``identity`` names the access stream ``measure`` was read from (the
+    executor's trace identity, or the sampler's own trace token); the
+    window replays once per process under ``(identity, start, stop)``.
+    ``None`` -- an injected trace nobody named -- replays without
+    memoizing.  ``span`` counts ``baseline_replays`` and
+    ``baseline_reused``.  Callers only read the returned stats, which are
+    shared by every design measured on the window.
+    """
+    from repro.baselines.no_cache import NoDramCache
+
+    # NoDramCache() is built from defaults and reads nothing but the
+    # window's records, so the stream and the window determine the result.
+    # A baseline built from SystemConfig must add the system to this key.
+    key = None if identity is None else (identity, start, stop)
+    if key is not None:
+        baseline = _WINDOW_BASELINE_CACHE.get(key)
+        if baseline is not None:
+            span.add("baseline_reused", 1)
+            return baseline
+    baseline = NoDramCache().run(measure)
+    span.add("baseline_replays", 1)
+    if key is not None:
+        _WINDOW_BASELINE_CACHE[key] = baseline
+    return baseline
+
+
 def _warm_caches(trials: Sequence[ExperimentSpec]) -> None:
     """Build every distinct trace and baseline the trials need, in-process.
 
@@ -163,8 +200,9 @@ def _warm_caches(trials: Sequence[ExperimentSpec]) -> None:
         seen.add(key)
         runner = ExperimentRunner(trial.config, system=trial.system)
         if trial.sampling is not None:
-            # Sampled trials replay their own per-window baselines; binary
-            # trace files are windowed from disk, so neither needs warming.
+            # Sampled trials fill the window-baseline cache as they measure
+            # (each worker its own); binary trace files are windowed from
+            # disk, so only other sampled streams need a warm trace.
             if not (isinstance(trial.workload, TraceFileWorkload)
                     and is_binary_trace(trial.workload.path)):
                 cached_trace(runner, trial.workload)
@@ -483,5 +521,6 @@ def run_sweep(spec: SweepSpec, workers: Optional[int] = 1,
 __all__ = ["SweepExecutor", "run_sweep", "run_trial", "run_trial_windows",
            "assemble_sampled_trial", "sampled_trial_total",
            "sampled_window_plan", "cached_trace", "cached_baseline",
+           "cached_window_baseline",
            "trace_key", "clear_caches", "TraceKey", "get_trace_store",
            "group_trials_by_trace"]

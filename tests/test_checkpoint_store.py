@@ -189,6 +189,39 @@ class TestSamplerIntegration:
         sampler.compare(["unison"], profile, "256MB", trace=list(trace_a))
         assert len(store) == 2
 
+    def test_older_format_version_is_a_miss_that_rewarms(
+            self, tmp_path, monkeypatch, profile, config, sampling):
+        """A file an older snapshot layout wrote at the current key must
+        re-warm and be rewritten, not crash the restore."""
+        import pickle
+
+        from repro.dramcache.base import StateSnapshot
+        from repro.sampling.checkpoints import CHECKPOINT_FORMAT_VERSION
+
+        monkeypatch.setenv("REPRO_TRACE_STORE", str(tmp_path / "store"))
+        cold = WindowedSampler(sampling, config=config).compare(
+            ["unison"], profile, "256MB")
+        store = CheckpointStore.default()
+        (path,) = store.root.glob("*.ckpt")
+        # The version-2 layout held live objects, not pickle blobs.
+        design = make_design("unison", "256MB", scale=config.scale,
+                             num_cores=config.num_cores)
+        old = StateSnapshot(design_name="unison",
+                            state={name: getattr(design, name)
+                                   for name in design._snapshot_attrs()})
+        with open(path, "wb") as handle:
+            pickle.dump((CHECKPOINT_FORMAT_VERSION - 1, old), handle)
+        assert store.load(path.stem) is None
+
+        warm = WindowedSampler(sampling, config=config).compare(
+            ["unison"], profile, "256MB")
+        assert warm == cold
+        with open(path, "rb") as handle:
+            version, snapshot = pickle.load(handle)
+        assert version == CHECKPOINT_FORMAT_VERSION
+        assert all(isinstance(blob, bytes)
+                   for blob in snapshot.state.values())
+
     def test_disabled_by_env(self, tmp_path, monkeypatch, profile, config,
                              sampling):
         monkeypatch.setenv("REPRO_TRACE_STORE", str(tmp_path / "store"))
