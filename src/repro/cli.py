@@ -110,17 +110,18 @@ def _apply_telemetry_arguments(args: argparse.Namespace) -> None:
 
 
 def _add_batch_arguments(parser: argparse.ArgumentParser) -> None:
-    """The batch-warming switches shared by the run-ish commands."""
+    """The batch-engine switches shared by the run-ish commands."""
     group = parser.add_mutually_exclusive_group()
     group.add_argument("--batch-warming", dest="batch_warming",
                        action="store_true", default=None,
-                       help="warm designs through the vectorized batch "
-                            "engine (the default when numpy is available; "
-                            "same as REPRO_BATCH=1)")
+                       help="warm and measure covered designs through the "
+                            "fused batch kernels (the default; same as "
+                            "REPRO_BATCH=1)")
     group.add_argument("--no-batch-warming", dest="batch_warming",
                        action="store_false",
-                       help="force the scalar warming engine (same as "
-                            "REPRO_BATCH=0; needs no numpy)")
+                       help="force the scalar engine for warming and "
+                            "measurement (same as REPRO_BATCH=0; needs no "
+                            "numpy)")
 
 
 def _apply_batch_arguments(args: argparse.Namespace) -> None:
@@ -1478,10 +1479,13 @@ def _summary_lines(summary: dict) -> List[str]:
     ordered += [name for name in sorted(phases) if name not in PHASE_ORDER]
     if ordered:
         lines.append("phases:")
+    counters = summary["phase_counters"]
     for name in ordered:
         seconds, count = phases[name]
         share = f" ({100 * seconds / wall:.0f}%)" if wall > 0 else ""
-        lines.append(f"  {name:<12} {seconds:8.3f}s{share}  x{count}")
+        tags = "".join(f"  {key}={value:g}" for key, value
+                       in sorted(counters.get(name, {}).items()))
+        lines.append(f"  {name:<12} {seconds:8.3f}s{share}  x{count}{tags}")
     metrics = summary["metrics"]
     if metrics:
         lines.append("metrics:")

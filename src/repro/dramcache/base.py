@@ -17,6 +17,7 @@ from typing import Dict, Iterable
 from repro.dramcache.stats import DramCacheStats
 from repro.mem.main_memory import MainMemory
 from repro.mem.stacked import StackedDram
+from repro.obs.core import NULL_SPAN
 from repro.stats.counters import StatGroup
 from repro.trace.record import MemoryAccess
 
@@ -115,31 +116,44 @@ class DramCacheModel(abc.ABC):
         self._now += max(0, result.latency_cycles)
         return result
 
-    def run(self, requests: Iterable[MemoryAccess]) -> DramCacheStats:
-        """Service a whole request stream and return the statistics record."""
-        for request in requests:
-            self.access(request)
+    def run(self, requests: Iterable[MemoryAccess],
+            span=NULL_SPAN) -> DramCacheStats:
+        """Service a whole request stream and return the statistics record.
+
+        Dispatches through :func:`repro.engine.replay`: a composition the
+        fused kernels cover replays through its kernel unless the batch
+        engine is disabled (``REPRO_BATCH`` / ``--batch-warming``), and
+        everything else replays through :meth:`access`.  State and
+        statistics are bit-identical either way.  ``span`` counts which
+        engine ran (``engine_batch``/``engine_scalar``, ``batch_accesses``).
+        """
+        from repro.engine import replay
+
+        replay(self, requests, span)
         return self.cache_stats
 
     def warm_up(self, requests: Iterable[MemoryAccess]) -> None:
-        """Service requests, then discard the statistics gathered while doing so."""
+        """Service requests on the scalar engine, then discard the statistics.
+
+        Always the per-access :meth:`access` loop, whatever the batch
+        switch says: the reference the fused kernels are checked and timed
+        against.  :meth:`warm_up_array` is the dispatching warm-up.
+        """
         for request in requests:
             self.access(request)
         self.reset_stats()
 
-    def warm_up_array(self, accesses) -> str:
+    def warm_up_array(self, accesses, span=NULL_SPAN) -> str:
         """Warm with a record array (or records) via the batch engine.
 
-        Dispatches to the fused batch kernels of :mod:`repro.engine` when
-        this design's composition is covered and batch warming is enabled
-        (``REPRO_BATCH`` / ``--batch-warming``), falling back to the scalar
-        :meth:`warm_up` otherwise.  The post-warming state is bit-identical
-        either way; returns ``"batch"`` or ``"scalar"`` naming the engine
-        that ran.
+        Replays like :meth:`run`, then calls :meth:`reset_stats`
+        (:func:`repro.engine.warm_design`); returns ``"batch"`` or
+        ``"scalar"`` naming the engine that ran, and counts it on ``span``
+        the way :meth:`run` does.
         """
         from repro.engine import warm_design
 
-        return warm_design(self, accesses)
+        return warm_design(self, accesses, span)
 
     def reset_stats(self) -> None:
         """Reset statistics without touching cache contents (warm-up boundary)."""

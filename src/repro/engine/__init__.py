@@ -1,19 +1,29 @@
-"""Vectorized batch engine for functional warming and bulk trace decode.
+"""Batch engine: fused service loops for warming and measurement, and
+bulk trace decode.
 
 Public surface:
 
-* :func:`repro.engine.warm_design` -- warm a design via the fused batch
-  kernels (bit-identical to scalar warming) with automatic scalar
-  fallback; returns which engine ran.
+* :func:`repro.engine.replay` -- service an access stream through a
+  design via its fused kernel, one loop per tag organization for warming
+  and measurement alike (bit-identical to the scalar engine in state and
+  statistics), with automatic scalar fallback; returns which engine ran.
+  ``DramCacheModel.run`` calls it.
+* :func:`repro.engine.warm_design` -- ``replay`` followed by
+  ``reset_stats()`` (``DramCacheModel.warm_up_array``).
 * :func:`repro.engine.batch_enabled` / :func:`set_batch_enabled` -- the
   ``REPRO_BATCH`` / ``--batch-warming`` controls.
 * :mod:`repro.engine.trace_array` -- numpy structured-array trace decode
   (``decode_array``, ``records_to_array``, ``array_to_records``).
 * :func:`repro.engine.select_kernel` -- kernel coverage probe (None means
-  the composition warms through the scalar engine).
+  the composition replays through the scalar engine).
 """
 
-from repro.engine.batch import batch_enabled, set_batch_enabled, warm_design
+from repro.engine.batch import (
+    batch_enabled,
+    replay,
+    set_batch_enabled,
+    warm_design,
+)
 from repro.engine.kernels import select_kernel
 from repro.engine.trace_array import (
     RECORD_DTYPE,
@@ -32,6 +42,7 @@ __all__ = [
     "is_access_array",
     "numpy_available",
     "records_to_array",
+    "replay",
     "select_kernel",
     "set_batch_enabled",
     "warm_design",

@@ -1,17 +1,17 @@
-"""Fused batch-warming kernels, bit-identical to the scalar engine.
+"""Fused service loops, one per tag organization, bit-identical to scalar.
 
-Functional warming replays a trace prologue purely for its *state* side
-effects -- tag arrays, LRU clocks, predictor tables, DRAM bank/channel
-timing horizons -- and then calls ``reset_stats()``, discarding every
-resettable statistic the replay produced.  The scalar path still pays for
-those statistics: each access walks four policy-role objects, builds
-``Lookup``/``HitPrediction``/``FetchDecision``/``DramCacheAccessResult``
-instances, and updates a dozen counters that are about to be zeroed.
+A design replays a trace for two reasons: functional warming, which keeps
+only the *state* the replay leaves behind (tag arrays, LRU clocks,
+predictor tables, DRAM bank/channel timing horizons), and measurement,
+which also reads the statistics.  The scalar engine walks four policy-role
+objects per access and builds ``Lookup``/``HitPrediction``/
+``FetchDecision``/``DramCacheAccessResult`` instances along the way.
 
 Each kernel below fuses one tag organization's entire service loop
 (composed engine + tag organization + predictors + DRAM timing) into a
-single Python loop over flat locals.  The rules that make the result
-*bit-identical* to ``warm_up`` followed by ``reset_stats()``:
+single Python loop over flat locals, and serves warming and measurement
+alike (:func:`repro.engine.replay`).  The rules that make the result
+*bit-identical* to the scalar engine's ``access`` loop:
 
 * every persistent state mutation happens in the same order, with the
   same values, as the scalar engine (including dict/OrderedDict insertion
@@ -19,9 +19,14 @@ single Python loop over flat locals.  The rules that make the result
 * every DRAM device operation is issued in the same order with the same
   (address, num_bytes, now, is_write) arguments, straight to the
   controllers' ``access``/``burst``/``read_pair`` (the one timing model
-  the scalar engine uses too), so the timing state and the non-resettable
+  the scalar engine uses too), so the timing state and the device
   request/byte counters come out identical;
-* purely resettable statistics are skipped entirely.
+* every statistic the scalar engine records -- ``DramCacheStats``, the way
+  and miss predictors' accuracy counters, the footprint predictor's
+  lookup/update/outcome counters, the off-chip traffic counters -- is kept
+  in locals and added to the live objects when the loop ends, so a kernel
+  and the scalar engine agree on every field, before and after
+  ``reset_stats()``.
 
 :func:`select_kernel` gates dispatch on *exact* component types: a
 subclass anywhere in the composition falls back to the scalar engine
@@ -32,7 +37,6 @@ from __future__ import annotations
 
 from itertools import repeat
 
-from repro.cache.replacement import LruPolicy
 from repro.dramcache.base import DramCacheModel
 from repro.dramcache.composed import ComposedDramCache
 from repro.dramcache.components import (
@@ -44,6 +48,7 @@ from repro.dramcache.components import (
     DropDirtyPolicy,
     FootprintFetch,
     FullPageFetch,
+    LruReplacement,
     MissMapBlockTags,
     MissPredictionPolicy,
     NoCacheTags,
@@ -66,23 +71,18 @@ _STATELESS_FETCH_TYPES = (DemandBlockFetch, FullPageFetch)
 _FETCH_TYPES = (DemandBlockFetch, FullPageFetch, FootprintFetch)
 
 
-def _lru_only(tags) -> bool:
-    """True when every per-set replacement policy is exactly LRU.
-
-    The set-associative and MissMap kernels inline LRU's clock/recency
-    updates; any other replacement component (random, RRIP) must take the
-    scalar path, which drives the real policy objects.
-    """
-    return all(type(policy) is LruPolicy for policy in tags.lru)
-
-
 def select_kernel(design):
     """Return the fused kernel covering ``design``, or None (scalar path).
 
     Coverage is decided by identity: the design must be a
     :class:`ComposedDramCache` running the stock ``access``/
-    ``_service_request`` drivers, and all four policy roles must be exact
-    instances of the component classes the kernels transliterate.
+    ``_service_request`` drivers, and the policy roles must be exact
+    instances of the component classes the kernels transliterate.  The
+    set-associative and MissMap kernels inline LRU's clock/recency
+    updates, so they also need the exact :class:`LruReplacement`
+    component (whose per-set policies are exactly ``LruPolicy``); random
+    and RRIP replacement take the scalar path, which drives the real
+    policy objects.
     """
     if not isinstance(design, ComposedDramCache):
         return None
@@ -94,6 +94,7 @@ def select_kernel(design):
     hp_type = type(design.hit_predictor)
     hp_none = hp_type in _NO_PREDICTION_TYPES
     fetch_type = type(design.fetch)
+    lru_only = type(design.replacement) is LruReplacement
     if type(design.writeback) not in _WRITEBACK_TYPES:
         return None
 
@@ -101,31 +102,28 @@ def select_kernel(design):
     if tags_type in (DramPageTags, SramPageTags):
         if not (hp_none or hp_type is WayPredictionPolicy):
             return None
-        if fetch_type not in _FETCH_TYPES:
+        if fetch_type not in _FETCH_TYPES or not lru_only:
             return None
-        if not _lru_only(design.tags):
-            return None
-        return _warm_page_set_assoc
+        return _replay_page_set_assoc
     if tags_type is DirectMappedBlockTags:
         if not (hp_none or hp_type is MissPredictionPolicy):
             return None
         if fetch_type not in _FETCH_TYPES:
             return None
-        return _warm_direct_mapped
+        return _replay_direct_mapped
     if tags_type is MissMapBlockTags:
-        if not hp_none or fetch_type not in _STATELESS_FETCH_TYPES:
+        if (not hp_none or fetch_type not in _STATELESS_FETCH_TYPES
+                or not lru_only):
             return None
-        if not _lru_only(design.tags):
-            return None
-        return _warm_missmap
+        return _replay_missmap
     if tags_type is AlwaysHitTags:
         if not hp_none:
             return None
-        return _warm_always_hit
+        return _replay_always_hit
     if tags_type is NoCacheTags:
         if not hp_none or fetch_type not in _STATELESS_FETCH_TYPES:
             return None
-        return _warm_no_cache
+        return _replay_no_cache
     return None
 
 
@@ -133,15 +131,17 @@ class _FootprintState:
     """Flat view of a FootprintFetch (history table + singleton table).
 
     Methods transliterate ``FootprintFetch.plan`` / ``on_bypass`` /
-    ``learn_eviction`` and ``FootprintPredictor.predict`` / ``update``,
-    mutating the *real* dicts in place (their insertion order pickles) and
-    keeping only the clock and the non-resettable singleton counters in
-    locals until :meth:`flush`.
+    ``learn_eviction`` and ``FootprintPredictor.predict`` / ``update`` /
+    ``record_outcome``, mutating the *real* dicts in place (their insertion
+    order pickles) and keeping the clock and every counter in slots until
+    :meth:`flush`.
     """
 
     __slots__ = ("fp", "st", "sets", "recency", "clock", "num_sets",
                  "assoc", "default_ones", "width", "st_width", "entries",
-                 "cap", "ins", "pro", "evi")
+                 "cap", "ins", "pro", "evi", "lookups", "trained", "updates",
+                 "correct", "actual", "fetched", "t_correct", "t_actual",
+                 "t_fetched")
 
     def __init__(self, fetch: FootprintFetch) -> None:
         fp = fetch.predictor
@@ -161,9 +161,17 @@ class _FootprintState:
         self.ins = st.insertions
         self.pro = st.promotions
         self.evi = st.evictions
+        # Predictor statistics gathered by this replay, added at flush():
+        # lookups / trained hits / updates, and the record_outcome sums of
+        # correctly predicted, actual and fetched blocks, over all outcomes
+        # and over trained ones (t_*).
+        self.lookups = self.trained = self.updates = 0
+        self.correct = self.actual = self.fetched = 0
+        self.t_correct = self.t_actual = self.t_fetched = 0
 
     def update(self, pc: int, offset: int, value: int) -> None:
         """FootprintPredictor.update with the footprint as a plain int."""
+        self.updates += 1
         set_index = mix64(pc * 1000003 + offset) % self.num_sets
         key = (pc, offset)
         entries = self.sets.setdefault(set_index, {})
@@ -203,10 +211,12 @@ class _FootprintState:
                 self.pro += 1
                 self.update(entry.trigger_pc, entry.trigger_offset, value)
                 corrected = True
+        self.lookups += 1
         set_index = mix64(pc * 1000003 + offset) % self.num_sets
         history = self.sets.get(set_index)
         trained = history.get((pc, offset)) if history is not None else None
         if trained is not None:
+            self.trained += 1
             self.clock += 1
             recency = self.recency.get(set_index)
             if recency is None:
@@ -238,22 +248,72 @@ class _FootprintState:
         self.ins += 1
 
     def learn_eviction(self, trigger_pc: int, trigger_offset: int,
-                       demanded_value: int) -> None:
+                       demanded_value: int, predicted_value: int,
+                       from_history: bool) -> None:
+        """FootprintFetch.learn_eviction: train, then score the prediction.
+
+        The actual footprint is never empty (the trigger block stands in
+        for an untouched page), so ``record_outcome``'s floor of one
+        actual block never applies.
+        """
         if demanded_value == 0:
             demanded_value = 1 << trigger_offset
         self.update(trigger_pc, trigger_offset, demanded_value)
+        correct = bin(predicted_value & demanded_value).count("1")
+        actual = bin(demanded_value).count("1")
+        fetched = bin(predicted_value).count("1")
+        self.correct += correct
+        self.actual += actual
+        self.fetched += fetched
+        if from_history:
+            self.t_correct += correct
+            self.t_actual += actual
+            self.t_fetched += fetched
 
     def flush(self) -> None:
-        self.fp._clock = self.clock
+        fp = self.fp
+        fp._clock = self.clock
+        fp.lookups += self.lookups
+        fp.trained_hits += self.trained
+        fp.updates += self.updates
+        fp.accuracy.add(self.correct, self.actual)
+        fp.fetched_blocks += self.fetched
+        fp.useful_blocks += self.correct
+        fp.overfetched_blocks += self.fetched - self.correct
+        fp.underpredicted_blocks += self.actual - self.correct
+        fp.trained_accuracy.add(self.t_correct, self.t_actual)
+        fp.trained_fetched_blocks += self.t_fetched
+        fp.trained_overfetched_blocks += self.t_fetched - self.t_correct
         self.st.insertions = self.ins
         self.st.promotions = self.pro
         self.st.evictions = self.evi
 
 
+def _record(design, cols, hits: int, hit_latency: int, miss_latency: int,
+            m_read: int, m_written: int, m_req: int):
+    """Add a replay's access outcomes and off-chip traffic to ``design``.
+
+    Returns the design's ``cache_stats`` for the kernel's own fields.
+    """
+    memory = design.memory
+    memory.blocks_read += m_read
+    memory.blocks_written += m_written
+    memory.requests += m_req
+    stats = design.cache_stats
+    writes = cols.wr.count(True)
+    stats.hits += hits
+    stats.misses += cols.n - hits
+    stats.read_accesses += cols.n - writes
+    stats.write_accesses += writes
+    stats.total_hit_latency += hit_latency
+    stats.total_miss_latency += miss_latency
+    return stats
+
+
 # --------------------------------------------------------------------- #
 # Kernel A: set-associative page organizations (Unison / Footprint Cache)
 # --------------------------------------------------------------------- #
-def _warm_page_set_assoc(design, cols) -> None:
+def _replay_page_set_assoc(design, cols) -> None:
     tags = design.tags
     is_dram = type(tags) is DramPageTags
     cfg = tags.config
@@ -269,7 +329,6 @@ def _warm_page_set_assoc(design, cols) -> None:
     m_access = design.memory.controller.access
     m_burst = design.memory.controller.burst
     srow_bytes = design.stacked.row_bytes
-    memory = design.memory
     m_read = m_written = m_req = 0
 
     if is_dram:
@@ -307,102 +366,98 @@ def _warm_page_set_assoc(design, cols) -> None:
     ones_mask = (1 << bpp) - 1
     wb_dirty = type(design.writeback) is WritebackDirtyPolicy
 
-    # A page resides in at most one frame; allocations happen only on page
-    # misses and evictions delete, so this stays a bijection.
-    page_way = {}
-    for set_index in range(num_sets):
-        for way, frame in enumerate(frames[set_index]):
-            if frame.valid:
-                page_way[frame.page_number] = way
+    # Per-set views, built when the replay first touches a set, so a short
+    # replay into a large cache costs O(sets touched), not O(capacity).
+    # A view holds the set's resident page -> way map (a page resides in
+    # at most one frame; allocations happen only on page misses and
+    # evictions delete, so it stays a bijection), its frames, its LRU
+    # policy, and its frames' device addresses, which are pure functions
+    # of the frame index: ``bases[w]`` is the data address of way ``w``'s
+    # first block and, for the in-DRAM layout, ``pres[w]`` / ``meta[w]``
+    # locate its presence and PC/offset metadata (``pres[0]`` is also
+    # the set's tag read).
+    views = {}
 
-    # Device addresses are pure functions of the frame index, so derive the
-    # row/slot arithmetic once per frame instead of once per access.
-    # ``frame_base[f]`` is the data address of frame ``f``'s first block;
-    # for the in-DRAM layout, ``pres_addr[f]`` / ``meta_addr[f]`` locate its
-    # presence and PC/offset metadata and ``tag_addr[s]`` the set's tag read.
-    num_frames = num_sets * assoc
-    frame_base = []
-    if is_dram:
-        pres_addr = []
-        meta_addr = []
-        for f in range(num_frames):
+    def view_of(set_index):
+        set_frames = frames[set_index]
+        ways = {frame.page_number: way
+                for way, frame in enumerate(set_frames) if frame.valid}
+        bases = []
+        pres = []
+        meta = []
+        for f in range(set_index * assoc, (set_index + 1) * assoc):
             row = f // ppr
             slot = f - row * ppr
             base = row * srow_bytes
-            frame_base.append(base + data_base + slot * page_bytes)
-            pres_addr.append(base + slot * pres_pp)
-            meta_addr.append(base + other_base + slot * meta_bytes)
-        tag_addr = [pres_addr[s * assoc] for s in range(num_sets)]
-    else:
-        for f in range(num_frames):
-            row = f // ppr
-            frame_base.append(row * srow_bytes + (f - row * ppr) * page_bytes)
-
-    # LRU state, flattened (clocks in a list, the live recency dicts
-    # aliased so in-place mutation matches the scalar engine bit-for-bit).
-    lru_clock = [policy._clock for policy in lru]
-    lru_rec = [policy._recency for policy in lru]
+            if is_dram:
+                bases.append(base + data_base + slot * page_bytes)
+                pres.append(base + slot * pres_pp)
+                meta.append(base + other_base + slot * meta_bytes)
+            else:
+                bases.append(base + slot * page_bytes)
+        view = views[set_index] = (ways, set_frames, lru[set_index], bases,
+                                   pres, meta)
+        return view
 
     now = design._now
     gap = design._interarrival
+    hits = hit_lat = miss_lat = 0
+    under = bypasses = evicts = wp_right = 0
 
     for block, pc, is_write, widx in zip(cols.blk, cols.pc, cols.wr, wp_idx):
         now += gap
         page = block // bpp
         offset = block - page * bpp
-        try:
-            way = page_way[page]
-        except KeyError:
-            way = -1
+        set_index = page % num_sets
+        ways, set_frames, policy, bases, pres, meta = (
+            views.get(set_index) or view_of(set_index))
+        way = ways.get(page, -1)
         if way >= 0:
-            set_index = page % num_sets
-            frame = frames[set_index][way]
+            frame = set_frames[way]
             # Way-predictor training (observe) happens on every page hit.
             if way_pred:
                 predicted = wp_table[widx]
                 wp_table[widx] = way
                 correct = predicted == way
+                wp_right += correct
             else:
                 correct = True
             # tags.touch
             frame.demanded._value |= 1 << offset
             if is_write:
                 frame.dbits._value |= 1 << offset
-            clock = lru_clock[set_index] + 1
-            lru_clock[set_index] = clock
-            lru_rec[set_index][way] = clock
+            clock = policy._clock + 1
+            policy._clock = clock
+            policy._recency[way] = clock
 
             if (frame.vbits._value >> offset) & 1:
                 # Block hit.
                 if is_dram:
-                    set_base = set_index * assoc
                     read_way = way if correct else (way + 1) % wp_assoc
                     latency = s_pair(
-                        tag_addr[set_index], pres_set,
-                        frame_base[set_base + read_way]
-                        + offset * block_bytes,
+                        pres[0], pres_set,
+                        bases[read_way] + offset * block_bytes,
                         BLOCK_SIZE, now, serialized) + overhead
                     if not correct:
                         latency += penalty
                     if is_write:
                         # on_hit_write targets the *actual* way.
-                        s_access(
-                            frame_base[set_base + way]
-                            + offset * block_bytes,
-                            block_bytes, now, True)
+                        s_access(bases[way] + offset * block_bytes,
+                                 block_bytes, now, True)
                 else:
-                    address = (frame_base[set_index * assoc + way]
-                               + offset * block_bytes)
+                    address = bases[way] + offset * block_bytes
                     latency = tag_latency + s_access(address, block_bytes,
                                                      now, False)
                     if is_write:
                         s_access(address, block_bytes, now, True)
+                hits += 1
+                hit_lat += latency
                 now += latency
                 continue
 
             # Page hit, block miss (footprint underprediction).
             if is_dram:
-                lookup_lat = s_access(tag_addr[set_index], pres_set, now,
+                lookup_lat = s_access(pres[0], pres_set, now,
                                       False) + overhead
             else:
                 lookup_lat = tag_latency
@@ -411,17 +466,17 @@ def _warm_page_set_assoc(design, cols) -> None:
             m_req += 1
             # tags.fill_block
             frame.vbits._value |= 1 << offset
-            s_access(frame_base[set_index * assoc + way]
-                     + offset * block_bytes,
-                     block_bytes, now, True)
-            now += lookup_lat + offchip
+            s_access(bases[way] + offset * block_bytes, block_bytes, now,
+                     True)
+            under += 1
+            latency = lookup_lat + offchip
+            miss_lat += latency
+            now += latency
             continue
 
         # Trigger miss.
-        set_index = page % num_sets
         if is_dram:
-            lookup_lat = s_access(tag_addr[set_index], pres_set, now,
-                                  False) + overhead
+            lookup_lat = s_access(pres[0], pres_set, now, False) + overhead
         else:
             lookup_lat = tag_latency
 
@@ -434,7 +489,10 @@ def _warm_page_set_assoc(design, cols) -> None:
                 m_req += 1
                 if note:
                     fp.insert_singleton(page, pc, offset)
-                now += lookup_lat + offchip
+                bypasses += 1
+                latency = lookup_lat + offchip
+                miss_lat += latency
+                now += latency
                 continue
             footprint |= 1 << offset
         elif full_page:
@@ -445,14 +503,13 @@ def _warm_page_set_assoc(design, cols) -> None:
             from_history = False
 
         # allocate: LRU victim, evict, fetch, install, device fill.
-        set_frames = frames[set_index]
         victim = -1
         for way, frame in enumerate(set_frames):
             if not frame.valid:
                 victim = way
                 break
         if victim < 0:
-            recency = lru_rec[set_index]
+            recency = policy._recency
             victim = 0
             best = recency[0]
             for way in range(1, assoc):
@@ -461,19 +518,21 @@ def _warm_page_set_assoc(design, cols) -> None:
                     victim = way
         frame = set_frames[victim]
         if frame.valid:
+            evicts += 1
             if is_dram:
-                s_access(meta_addr[set_index * assoc + victim],
-                         meta_bytes, now, False)
+                s_access(meta[victim], meta_bytes, now, False)
             if fp is not None:
                 fp.learn_eviction(frame.trigger_pc, frame.trigger_offset,
-                                  frame.demanded._value)
+                                  frame.demanded._value,
+                                  frame.predicted._value,
+                                  frame.predicted_from_history)
             dirty = frame.dbits._value & frame.vbits._value
             if dirty and wb_dirty:
                 m_burst(frame.page_number * bpp * BLOCK_SIZE, BLOCK_SIZE,
                         dirty, BLOCK_SIZE, now, True)
                 m_written += bin(dirty).count("1")
                 m_req += 1
-            del page_way[frame.page_number]
+            del ways[frame.page_number]
 
         # Fetch the footprint's blocks; the trigger (lowest) read is the
         # critical one whose latency the request observes.
@@ -491,24 +550,37 @@ def _warm_page_set_assoc(design, cols) -> None:
         frame.predicted_from_history = from_history
         frame.trigger_pc = pc
         frame.trigger_offset = offset
-        clock = lru_clock[set_index] + 1
-        lru_clock[set_index] = clock
-        lru_rec[set_index][victim] = clock
-        page_way[page] = victim
+        clock = policy._clock + 1
+        policy._clock = clock
+        policy._recency[victim] = clock
+        ways[page] = victim
 
-        fill_frame = set_index * assoc + victim
-        s_burst(frame_base[fill_frame], block_bytes, footprint, BLOCK_SIZE,
-                now, True)
+        s_burst(bases[victim], block_bytes, footprint, BLOCK_SIZE, now, True)
         if is_dram:
-            s_access(pres_addr[fill_frame], pres_pp, now, True)
-        now += lookup_lat + offchip
+            s_access(pres[victim], pres_pp, now, True)
+        latency = lookup_lat + offchip
+        miss_lat += latency
+        now += latency
 
     design._now = now
-    for policy, clock in zip(lru, lru_clock):
-        policy._clock = clock
-    memory.blocks_read += m_read
-    memory.blocks_written += m_written
-    memory.requests += m_req
+    stats = _record(design, cols, hits, hit_lat, miss_lat, m_read, m_written,
+                    m_req)
+    misses = cols.n - hits
+    allocs = misses - under - bypasses
+    # Each miss demands one block; every other block read is a footprint
+    # block beyond an allocation's trigger, i.e. a prefetch.
+    stats.offchip_demand_blocks += misses
+    stats.offchip_prefetch_blocks += m_read - misses
+    stats.offchip_writeback_blocks += m_written
+    stats.pages_allocated += allocs
+    stats.pages_evicted += evicts
+    if is_dram:
+        stats.conflict_evictions += evicts
+    stats.singleton_bypasses += bypasses
+    stats.underprediction_misses += under
+    if way_pred:
+        # The way predictor observes every access to a resident page.
+        predictor.accuracy.add(wp_right, hits + under)
     if fp is not None:
         fp.flush()
 
@@ -516,7 +588,7 @@ def _warm_page_set_assoc(design, cols) -> None:
 # --------------------------------------------------------------------- #
 # Kernel B: direct-mapped TAD organization (Alloy, alloy+footprint)
 # --------------------------------------------------------------------- #
-def _warm_direct_mapped(design, cols) -> None:
+def _replay_direct_mapped(design, cols) -> None:
     tags = design.tags
     cfg = tags.config
     num_blocks = tags.num_blocks
@@ -531,7 +603,6 @@ def _warm_direct_mapped(design, cols) -> None:
     s_access = design.stacked.controller.access
     m_access = design.memory.controller.access
     srow_bytes = design.stacked.row_bytes
-    memory = design.memory
     m_read = m_written = m_req = 0
 
     hp = design.hit_predictor
@@ -556,6 +627,10 @@ def _warm_direct_mapped(design, cols) -> None:
 
     now = design._now
     gap = design._interarrival
+    hits = hit_lat = miss_lat = 0
+    bypasses = allocs = evicts = 0
+    # MAP-I outcomes: hits predicted to miss, and misses predicted to hit.
+    false_misses = false_hits = 0
 
     for block, pc, is_write, core, pidx in zip(cols.blk, cols.pc, cols.wr,
                                                cols.core, mp_idx):
@@ -590,9 +665,12 @@ def _warm_direct_mapped(design, cols) -> None:
                 m_access(block * BLOCK_SIZE, BLOCK_SIZE, now, False)
                 m_read += 1
                 m_req += 1
+                false_misses += 1
             if is_write:
                 s_access(tad_address, tad_bytes, now, True)
                 dirty[frame] = True
+            hits += 1
+            hit_lat += latency
             now += latency
             continue
 
@@ -600,6 +678,7 @@ def _warm_direct_mapped(design, cols) -> None:
         if predicted_miss:
             lookup_lat = 0
         else:
+            false_hits += 1
             row = frame // blocks_per_row
             lookup_lat = s_access(
                 row * srow_bytes
@@ -617,7 +696,10 @@ def _warm_direct_mapped(design, cols) -> None:
                 m_req += 1
                 if note:
                     fp.insert_singleton(page, pc, offset)
-                now += pred_lat + lookup_lat + offchip
+                bypasses += 1
+                latency = pred_lat + lookup_lat + offchip
+                miss_lat += latency
+                now += latency
                 continue
             footprint |= 1 << offset
         elif full_page:
@@ -633,18 +715,23 @@ def _warm_direct_mapped(design, cols) -> None:
             m_read += 1
             m_req += 1
             old_tag = tag_array[frame]
-            if old_tag >= 0 and dirty[frame] and wb_dirty:
-                m_access((old_tag * num_blocks + frame) * BLOCK_SIZE,
-                         BLOCK_SIZE, now, True)
-                m_written += 1
-                m_req += 1
+            if old_tag >= 0:
+                evicts += 1
+                if dirty[frame] and wb_dirty:
+                    m_access((old_tag * num_blocks + frame) * BLOCK_SIZE,
+                             BLOCK_SIZE, now, True)
+                    m_written += 1
+                    m_req += 1
             tag_array[frame] = block // num_blocks
             dirty[frame] = is_write
+            allocs += 1
             row = frame // blocks_per_row
             s_access(row * srow_bytes
                      + (frame - row * blocks_per_row) * tad_bytes,
                      tad_bytes, now, True)
-            now += pred_lat + lookup_lat + offchip
+            latency = pred_lat + lookup_lat + offchip
+            miss_lat += latency
+            now += latency
             continue
 
         # Multi-block footprint (hybrid): fetch the region, install each
@@ -671,13 +758,16 @@ def _warm_direct_mapped(design, cols) -> None:
             value ^= low
             install_frame = fetched % num_blocks
             old_tag = tag_array[install_frame]
-            if old_tag >= 0 and dirty[install_frame] and wb_dirty:
-                m_access((old_tag * num_blocks + install_frame) * BLOCK_SIZE,
-                         BLOCK_SIZE, now, True)
-                m_written += 1
-                m_req += 1
+            if old_tag >= 0:
+                evicts += 1
+                if dirty[install_frame] and wb_dirty:
+                    m_access((old_tag * num_blocks + install_frame)
+                             * BLOCK_SIZE, BLOCK_SIZE, now, True)
+                    m_written += 1
+                    m_req += 1
             tag_array[install_frame] = fetched // num_blocks
             dirty[install_frame] = is_write and fetched == block
+            allocs += 1
             row = install_frame // blocks_per_row
             s_access(row * srow_bytes
                      + (install_frame - row * blocks_per_row) * tad_bytes,
@@ -688,15 +778,33 @@ def _warm_direct_mapped(design, cols) -> None:
         if stale is None and len(regions) >= region_cap:
             stale = regions.pop(next(iter(regions)))
         if stale is not None and fp is not None:
-            fp.learn_eviction(stale[0], stale[1], stale[2]._value)
+            fp.learn_eviction(stale[0], stale[1], stale[2]._value,
+                              stale[3]._value, stale[4])
         regions[page] = (pc, offset, BitVector(bpp, 1 << offset),
                         BitVector(bpp, footprint), from_history)
-        now += pred_lat + lookup_lat + offchip
+        latency = pred_lat + lookup_lat + offchip
+        miss_lat += latency
+        now += latency
 
     design._now = now
-    memory.blocks_read += m_read
-    memory.blocks_written += m_written
-    memory.requests += m_req
+    stats = _record(design, cols, hits, hit_lat, miss_lat, m_read, m_written,
+                    m_req)
+    n = cols.n
+    misses = n - hits
+    # Each miss demands one block; every other block read is a prefetch
+    # (a region fetch beyond its trigger, or a falsely predicted miss).
+    stats.offchip_demand_blocks += misses
+    stats.offchip_prefetch_blocks += m_read - misses
+    stats.offchip_writeback_blocks += m_written
+    stats.pages_allocated += allocs
+    stats.pages_evicted += evicts
+    stats.singleton_bypasses += bypasses
+    if mapi:
+        predictor.predictions += n
+        predictor.accuracy.add(n - false_misses - false_hits, n)
+        predictor.miss_identification.add(misses - false_hits, misses)
+        predictor.false_misses += false_misses
+        predictor.false_hits += false_hits
     if fp is not None:
         fp.flush()
 
@@ -704,7 +812,7 @@ def _warm_direct_mapped(design, cols) -> None:
 # --------------------------------------------------------------------- #
 # Kernel C: MissMap-fronted set-per-row organization (Loh-Hill)
 # --------------------------------------------------------------------- #
-def _warm_missmap(design, cols) -> None:
+def _replay_missmap(design, cols) -> None:
     tags = design.tags
     num_sets = tags.num_sets
     assoc = tags.associativity
@@ -719,28 +827,31 @@ def _warm_missmap(design, cols) -> None:
     s_access = design.stacked.controller.access
     m_access = design.memory.controller.access
     srow_bytes = design.stacked.row_bytes
-    memory = design.memory
     m_read = m_written = m_req = 0
     wb_dirty = type(design.writeback) is WritebackDirtyPolicy
 
-    # Present block -> way, maintained alongside the real missmap dict.
-    way_of = {}
-    for set_index in range(num_sets):
-        for way, tag in enumerate(tag_array[set_index]):
-            if tag >= 0:
-                block = tag * num_sets + set_index
-                if missmap.get(block, False):
-                    way_of[block] = way
+    # Present block -> way per set, maintained alongside the real missmap
+    # dict; built when the replay first touches the set, so a short replay
+    # into a large cache costs O(sets touched), not O(capacity).
+    set_ways = {}
 
     now = design._now
     gap = design._interarrival
-    way_of_get = way_of.get
     tag_read_bytes = tag_blocks * block_bytes
+    hits = hit_lat = miss_lat = evicts = 0
 
     for block, is_write in zip(cols.blk, cols.wr):
         now += gap
         set_index = block % num_sets
-        way = way_of_get(block, -1)
+        ways = set_ways.get(set_index)
+        if ways is None:
+            ways = set_ways[set_index] = {
+                tag * num_sets + set_index: way
+                for way, tag in enumerate(tag_array[set_index])
+                if tag >= 0 and missmap.get(tag * num_sets + set_index,
+                                            False)
+            }
+        way = ways.get(block, -1)
         if way >= 0:
             policy = lru[set_index]
             policy._clock += 1
@@ -752,7 +863,10 @@ def _warm_missmap(design, cols) -> None:
                                 block_bytes, now, False)
             if is_write:
                 dirty[set_index][way] = True
-            now += mm_latency + tag_lat + data_lat
+            latency = mm_latency + tag_lat + data_lat
+            hits += 1
+            hit_lat += latency
+            now += latency
             continue
 
         # Miss: MissMap answers without a DRAM tag read; allocate.
@@ -772,9 +886,10 @@ def _warm_missmap(design, cols) -> None:
                     victim = way
         victim_tag = row_tags[victim]
         if victim_tag >= 0:
+            evicts += 1
             victim_block = victim_tag * num_sets + set_index
             missmap.pop(victim_block, None)
-            way_of.pop(victim_block, None)
+            ways.pop(victim_block, None)
             if dirty[set_index][victim] and wb_dirty:
                 m_access(victim_block * BLOCK_SIZE, BLOCK_SIZE, now, True)
                 m_written += 1
@@ -785,23 +900,30 @@ def _warm_missmap(design, cols) -> None:
         policy._clock += 1
         policy._recency[victim] = policy._clock
         missmap[block] = True
-        way_of[block] = victim
+        ways[block] = victim
         s_access(set_index * srow_bytes, block_bytes, now, True)
         s_access(set_index * srow_bytes
                  + (tag_blocks + victim) * block_bytes,
                  block_bytes, now, True)
-        now += mm_latency + offchip
+        latency = mm_latency + offchip
+        miss_lat += latency
+        now += latency
 
     design._now = now
-    memory.blocks_read += m_read
-    memory.blocks_written += m_written
-    memory.requests += m_req
+    stats = _record(design, cols, hits, hit_lat, miss_lat, m_read, m_written,
+                    m_req)
+    misses = cols.n - hits
+    # Every miss allocates its demand block.
+    stats.offchip_demand_blocks += misses
+    stats.offchip_writeback_blocks += m_written
+    stats.pages_allocated += misses
+    stats.pages_evicted += evicts
 
 
 # --------------------------------------------------------------------- #
 # Kernel D: the ideal always-hit reference
 # --------------------------------------------------------------------- #
-def _warm_always_hit(design, cols) -> None:
+def _replay_always_hit(design, cols) -> None:
     tags = design.tags
     row_bytes = tags.row_buffer_size
     block_bytes = tags.block_size
@@ -810,38 +932,41 @@ def _warm_always_hit(design, cols) -> None:
 
     now = design._now
     gap = design._interarrival
+    hit_lat = 0
     for address in cols.addr:
         now += gap
         row = address // row_bytes
         offset = address % row_bytes // block_bytes * block_bytes
-        now += s_access(row * srow_bytes + offset, block_bytes, now, False)
+        latency = s_access(row * srow_bytes + offset, block_bytes, now, False)
+        hit_lat += latency
+        now += latency
 
     design._now = now
+    _record(design, cols, cols.n, hit_lat, 0, 0, 0, 0)
 
 
 # --------------------------------------------------------------------- #
 # Kernel E: no stacked cache, everything off chip
 # --------------------------------------------------------------------- #
-def _warm_no_cache(design, cols) -> None:
+def _replay_no_cache(design, cols) -> None:
     m_access = design.memory.controller.access
-    memory = design.memory
-    m_read = m_written = 0
 
     now = design._now
     gap = design._interarrival
+    miss_lat = 0
     for block, is_write in zip(cols.blk, cols.wr):
         now += gap
-        if is_write:
-            now += m_access(block * BLOCK_SIZE, BLOCK_SIZE, now, True)
-            m_written += 1
-        else:
-            now += m_access(block * BLOCK_SIZE, BLOCK_SIZE, now, False)
-            m_read += 1
+        latency = m_access(block * BLOCK_SIZE, BLOCK_SIZE, now, is_write)
+        miss_lat += latency
+        now += latency
 
     design._now = now
-    memory.blocks_read += m_read
-    memory.blocks_written += m_written
-    memory.requests += m_read + m_written
+    # Writes go straight off chip, reads are demand fetches.
+    m_written = cols.wr.count(True)
+    m_read = cols.n - m_written
+    stats = _record(design, cols, 0, 0, miss_lat, m_read, m_written, cols.n)
+    stats.offchip_demand_blocks += m_read
+    stats.offchip_writeback_blocks += m_written
 
 
 __all__ = ["select_kernel"]

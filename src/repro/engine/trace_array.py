@@ -108,7 +108,7 @@ def array_to_records(arr) -> List[MemoryAccess]:
 
 
 class AccessColumns:
-    """Column-oriented view of one warm batch, ready for the fused kernels.
+    """Column-oriented view of one replay batch, ready for the fused kernels.
 
     Columns are plain Python lists (the kernels are fused Python loops over
     C-speed list iteration); when the source is a structured array the

@@ -10,9 +10,9 @@ retry backoff, lease reclaim) append to ``events``.
 This is the durable sink behind the operator CLI:
 
 * ``repro runs list``    -- recent runs, filterable by sweep token;
-* ``repro runs show``    -- per-phase wall-clock, accesses/sec, and
-  store/checkpoint hit rates for one run *or aggregated over every run of
-  a sweep token*;
+* ``repro runs show``    -- per-phase wall-clock and span counters (e.g.
+  which engine warmed and measured), accesses/sec, and store/checkpoint
+  hit rates for one run *or aggregated over every run of a sweep token*;
 * ``repro runs compare`` -- two of the above side by side;
 * ``repro top`` / ``repro queue status --watch`` -- live worker heartbeats.
 
@@ -321,6 +321,24 @@ class RunLedger:
         ).fetchall()
         return {row["name"]: (row["seconds"], row["count"]) for row in rows}
 
+    def phase_counters_for(self, run_ids: Sequence[str],
+                           ) -> Dict[str, Dict[str, float]]:
+        """Span counters summed per phase over a set of runs."""
+        if not run_ids:
+            return {}
+        marks = ",".join("?" for _ in run_ids)
+        rows = self._conn.execute(
+            f"SELECT name, counters FROM phases"
+            f" WHERE run_id IN ({marks}) AND counters IS NOT NULL",
+            list(run_ids),
+        ).fetchall()
+        summed: Dict[str, Dict[str, float]] = {}
+        for row in rows:
+            bucket = summed.setdefault(row["name"], {})
+            for key, value in json.loads(row["counters"]).items():
+                bucket[key] = bucket.get(key, 0) + value
+        return summed
+
     def metrics_for(self, run_ids: Sequence[str]) -> Dict[str, float]:
         """Summed metrics over a set of runs (rates are recomputed by
         callers from the summed numerators/denominators)."""
@@ -356,7 +374,8 @@ class RunLedger:
 def summarize(ledger: RunLedger, rows: Sequence[sqlite3.Row]) -> Dict[str, object]:
     """The aggregate report behind ``repro runs show``.
 
-    Sums per-phase wall-clock over the given runs, recomputes throughput
+    Sums per-phase wall-clock and span counters (which engine warmed and
+    measured, baseline reuse, ...) over the given runs, recomputes throughput
     (total measured accesses / total measure seconds) and the store and
     checkpoint hit rates from the summed counters, and carries the run
     count and statuses.
@@ -374,6 +393,7 @@ def summarize(ledger: RunLedger, rows: Sequence[sqlite3.Row]) -> Dict[str, objec
         "errors": sum(1 for row in rows if row["status"] != "ok"),
         "wall_seconds": sum(row["wall_seconds"] or 0.0 for row in rows),
         "phases": phases,
+        "phase_counters": ledger.phase_counters_for(run_ids),
         "metrics": metrics,
     }
     measure = phases.get("measure", (0.0, 0))[0]

@@ -35,7 +35,7 @@ from typing import Dict, List, Optional, Sequence
 
 from repro.config.system import SystemConfig
 from repro.dramcache.base import DramCacheModel
-from repro.obs.core import current as obs_current
+from repro.obs.core import NULL_SPAN, current as obs_current
 from repro.sampling.seekable import FileWindows, InMemoryWindows
 from repro.sampling.windows import (
     MeasurementWindow,
@@ -282,18 +282,14 @@ class WindowedSampler:
                         warmup: Sequence[MemoryAccess],
                         measure: Sequence[MemoryAccess],
                         baseline_stats, profile,
-                        span=None) -> WindowMeasurement:
+                        span=NULL_SPAN) -> WindowMeasurement:
         if len(warmup):
-            engine = design.warm_up_array(warmup)
-            if span is not None:
-                span.add("engine_" + engine, 1)
-                if engine == "batch":
-                    span.add("batch_accesses", len(warmup))
+            design.warm_up_array(warmup, span=span)
         else:
             design.reset_stats()
         activations_before = (design.memory.row_activations,
                               design.stacked.row_activations)
-        design.run(measure)
+        design.run(measure, span=span)
         stats = design.cache_stats
         speedup = self.performance.speedup(stats, baseline_stats, profile)
         estimate = self.performance.estimate(stats, profile)
@@ -417,7 +413,7 @@ class WindowedSampler:
 
     def _checkpoint_designs(self, provider, design_names, labels, capacity,
                             associativity, plan, store, stream_token,
-                            span=None):
+                            span=NULL_SPAN):
         """Build every design warm: restore its checkpoint or replay once.
 
         Returns ``[(label, design, checkpoint, series)]`` -- the shared
@@ -465,11 +461,7 @@ class WindowedSampler:
                     prologue = self._read_warm(provider,
                                                plan.checkpoint_start,
                                                plan.checkpoint_stop)
-                engine = design.warm_up_array(prologue)
-                if span is not None:
-                    span.add("engine_" + engine, 1)
-                    if engine == "batch":
-                        span.add("batch_accesses", len(prologue))
+                design.warm_up_array(prologue, span=span)
                 checkpoint = design.snapshot_state()
                 if store is not None and key is not None:
                     store.save(key, checkpoint)

@@ -205,14 +205,11 @@ class ExperimentRunner:
             num_cores=self.config.num_cores, associativity=associativity,
         )
         with obs_run.span("warmup") as warm_span:
-            engine = design.warm_up_array(warmup)
-            warm_span.add("engine_" + engine, 1)
-            if engine == "batch":
-                warm_span.add("batch_accesses", len(warmup))
+            design.warm_up_array(warmup, span=warm_span)
         activations_before = (design.memory.row_activations,
                               design.stacked.row_activations)
-        with obs_run.span("measure"):
-            design.run(measure)
+        with obs_run.span("measure") as measure_span:
+            design.run(measure, span=measure_span)
         obs_run.counter("accesses", len(measure))
         obs_run.counter("warmup_accesses", len(warmup))
 
