@@ -3,6 +3,17 @@
 Policies operate on way indices within a single set and are instantiated once
 per set.  The interface is deliberately small: notify on access and on fill,
 and nominate a victim.
+
+These three methods are the whole contract, for the scalar tag
+organizations and the fused batch kernels (:mod:`repro.engine.kernels`)
+alike: both call ``on_access(way)`` on every access to a resident frame,
+and ``victim(valid_ways)`` then ``on_fill(way)`` on every allocation, with
+the same arguments in the same order.  A new policy therefore replays
+bit-identically on either engine without kernel changes.  The one
+exception is :class:`LruPolicy`, whose clock/recency updates the kernels
+inline for speed when the design's replacement component is exactly
+``LruReplacement``: changing LRU's behaviour here means changing those
+inlined arms too.
 """
 
 from __future__ import annotations

@@ -13,10 +13,11 @@ Two entry points share the program:
 * **Sampled measurement** (``repro sample``): checkpointed windowed sampling
   (see :mod:`repro.sampling`) of several designs over the *same* measurement
   windows, with per-design confidence intervals and matched-pair deltas.
-* **Design catalog** (``repro designs``): every registered design with its
-  component breakdown -- tag organization, hit predictor, fetch policy,
-  writeback policy -- for the spec-registered entries, plus the component
-  kinds available for composing new designs (``--components``).
+* **Design catalog** (``repro designs``): every registered design with the
+  engine it replays on (its batch kernel, or ``scalar``) and its component
+  breakdown -- tag organization, hit predictor, fetch, writeback and
+  replacement policies -- for the spec-registered entries, plus the
+  component kinds available for composing new designs (``--components``).
 * **Durable sweeps** (``repro queue ...``): submit a sweep as idempotent
   on-disk jobs, run any number of crash-tolerant workers against the shared
   store (``repro queue work``, or the short alias ``repro work``), check
@@ -207,7 +208,8 @@ def _list_workloads() -> int:
 def build_designs_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro designs",
-        description="List registered DRAM-cache designs and, for "
+        description="List registered DRAM-cache designs, the engine each "
+                    "replays on (its batch kernel, or scalar) and, for "
                     "spec-registered entries, their component breakdown.",
     )
     parser.add_argument("--components", action="store_true",
@@ -218,6 +220,8 @@ def build_designs_parser() -> argparse.ArgumentParser:
 
 def designs_main(argv: List[str]) -> int:
     """Entry point of ``repro designs``."""
+    from repro.engine import design_engine
+
     args = build_designs_parser().parse_args(argv)
     names = design_names()
     width = max(len(name) for name in names)
@@ -226,6 +230,7 @@ def designs_main(argv: List[str]) -> int:
         print(f"{name:<{width}}  {entry.description}")
         if entry.spec is not None:
             print(f"{'':<{width}}    {entry.spec.describe_components()}")
+        print(f"{'':<{width}}    engine={design_engine(name)}")
     if args.components:
         from repro.dramcache.components import (
             FETCH_POLICIES,

@@ -15,7 +15,12 @@ Public surface:
 * :mod:`repro.engine.trace_array` -- numpy structured-array trace decode
   (``decode_array``, ``records_to_array``, ``array_to_records``).
 * :func:`repro.engine.select_kernel` -- kernel coverage probe (None means
-  the composition replays through the scalar engine).
+  the composition replays through the scalar engine).  Every composition
+  of the stock design space and every registered design has a kernel;
+  only subclassed tag, hit-predictor, fetch or writeback components (and
+  ``REPRO_BATCH=0``) take the scalar engine.
+* :func:`repro.engine.design_engine` -- the engine a registered design
+  replays on, by name (``repro designs``, ``/api/designs``).
 """
 
 from repro.engine.batch import (
@@ -24,7 +29,7 @@ from repro.engine.batch import (
     set_batch_enabled,
     warm_design,
 )
-from repro.engine.kernels import select_kernel
+from repro.engine.kernels import design_engine, select_kernel
 from repro.engine.trace_array import (
     RECORD_DTYPE,
     array_to_records,
@@ -39,6 +44,7 @@ __all__ = [
     "array_to_records",
     "batch_enabled",
     "decode_array",
+    "design_engine",
     "is_access_array",
     "numpy_available",
     "records_to_array",

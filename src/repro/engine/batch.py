@@ -58,17 +58,17 @@ def replay(design, accesses, span=NULL_SPAN) -> str:
         accesses = list(accesses)
     kernel = select_kernel(design) if batch_enabled() else None
     columns = make_columns(accesses) if kernel is not None else None
-    if columns is None:
-        access = design.access
-        for request in as_records(accesses):
-            access(request)
-        span.add("engine_scalar", 1)
-        return "scalar"
-    if columns.n:
-        kernel(design, columns)
-    span.add("engine_batch", 1)
-    span.add("batch_accesses", columns.n)
-    return "batch"
+    # A kernel returns False, before touching any state, for a replay it
+    # does not model (see select_kernel); the scalar engine then runs.
+    if columns is not None and (not columns.n or kernel(design, columns)):
+        span.add("engine_batch", 1)
+        span.add("batch_accesses", columns.n)
+        return "batch"
+    access = design.access
+    for request in as_records(accesses):
+        access(request)
+    span.add("engine_scalar", 1)
+    return "scalar"
 
 
 def warm_design(design, accesses, span=NULL_SPAN) -> str:

@@ -1,9 +1,9 @@
 """Fused service loops, one per tag organization, bit-identical to scalar.
 
 A design replays a trace for two reasons: functional warming, which keeps
-only the *state* the replay leaves behind (tag arrays, LRU clocks,
+only the *state* the replay leaves behind (tag arrays, replacement state,
 predictor tables, DRAM bank/channel timing horizons), and measurement,
-which also reads the statistics.  The scalar engine walks four policy-role
+which also reads the statistics.  The scalar engine walks five policy-role
 objects per access and builds ``Lookup``/``HitPrediction``/
 ``FetchDecision``/``DramCacheAccessResult`` instances along the way.
 
@@ -28,9 +28,19 @@ alike (:func:`repro.engine.replay`).  The rules that make the result
   and the scalar engine agree on every field, before and after
   ``reset_stats()``.
 
-:func:`select_kernel` gates dispatch on *exact* component types: a
-subclass anywhere in the composition falls back to the scalar engine
-rather than risk a silently-diverging shortcut.
+Replacement is the one role the kernels do not transliterate in general:
+exact LRU keeps an inlined clock/recency arm (the paper's policy, and the
+hot path of every figure), and any other per-set policy object is driven
+through its own ``on_access``/``victim``/``on_fill`` methods, at the same
+three points and with the same arguments as the scalar tag organization.
+Random victims therefore draw from the very generators the scalar engine
+would draw from, and RRIP ages the very RRPVs.
+
+:func:`select_kernel` gates dispatch on *exact* component types for the
+tags, hit predictor, fetch and writeback roles: a subclass anywhere there
+falls back to the scalar engine rather than risk a silently-diverging
+shortcut.  Every composition of ``search.space.default_space()`` and every
+registered design has a kernel.
 """
 
 from __future__ import annotations
@@ -66,6 +76,10 @@ from repro.utils.hashing import mix64
 # Exact types only: subclasses may override behaviour the kernels inline.
 _NO_PREDICTION_TYPES = (NoHitPrediction, OracleWayPrediction,
                         DisabledMissPrediction)
+# Hit predictors of the block-level kernels (no prediction, or MAP-I), and
+# of the page kernel, which adds way prediction.
+_MAPI_TYPES = _NO_PREDICTION_TYPES + (MissPredictionPolicy,)
+_PAGE_PREDICTION_TYPES = _MAPI_TYPES + (WayPredictionPolicy,)
 _WRITEBACK_TYPES = (WritebackDirtyPolicy, DropDirtyPolicy)
 _STATELESS_FETCH_TYPES = (DemandBlockFetch, FullPageFetch)
 _FETCH_TYPES = (DemandBlockFetch, FullPageFetch, FootprintFetch)
@@ -76,13 +90,18 @@ def select_kernel(design):
 
     Coverage is decided by identity: the design must be a
     :class:`ComposedDramCache` running the stock ``access``/
-    ``_service_request`` drivers, and the policy roles must be exact
-    instances of the component classes the kernels transliterate.  The
-    set-associative and MissMap kernels inline LRU's clock/recency
-    updates, so they also need the exact :class:`LruReplacement`
-    component (whose per-set policies are exactly ``LruPolicy``); random
-    and RRIP replacement take the scalar path, which drives the real
-    policy objects.
+    ``_service_request`` drivers, and the tags, hit predictor, fetch and
+    writeback roles must be exact instances of the component classes the
+    kernels transliterate.  The replacement role never decides coverage:
+    the set-associative kernels inline exact :class:`LruReplacement` and
+    call any other component's per-set policy objects, so random, RRIP
+    or a user-defined victim choice replays through the kernel as well.
+
+    A returned kernel may still decline one replay (it returns False
+    before touching any state, and :func:`repro.engine.replay` runs the
+    scalar engine instead): the MAP-I arm does so when a core id falls
+    outside the predictor's per-core tables, so the scalar engine raises
+    its ``ValueError`` at the same access with the same partial state.
     """
     if not isinstance(design, ComposedDramCache):
         return None
@@ -92,30 +111,27 @@ def select_kernel(design):
     if cls.access is not DramCacheModel.access:
         return None
     hp_type = type(design.hit_predictor)
-    hp_none = hp_type in _NO_PREDICTION_TYPES
     fetch_type = type(design.fetch)
-    lru_only = type(design.replacement) is LruReplacement
     if type(design.writeback) not in _WRITEBACK_TYPES:
         return None
 
     tags_type = type(design.tags)
     if tags_type in (DramPageTags, SramPageTags):
-        if not (hp_none or hp_type is WayPredictionPolicy):
-            return None
-        if fetch_type not in _FETCH_TYPES or not lru_only:
-            return None
-        return _replay_page_set_assoc
-    if tags_type is DirectMappedBlockTags:
-        if not (hp_none or hp_type is MissPredictionPolicy):
+        if hp_type not in _PAGE_PREDICTION_TYPES:
             return None
         if fetch_type not in _FETCH_TYPES:
             return None
+        return _replay_page_set_assoc
+    if tags_type is DirectMappedBlockTags:
+        if hp_type not in _MAPI_TYPES or fetch_type not in _FETCH_TYPES:
+            return None
         return _replay_direct_mapped
     if tags_type is MissMapBlockTags:
-        if (not hp_none or fetch_type not in _STATELESS_FETCH_TYPES
-                or not lru_only):
+        if (hp_type not in _MAPI_TYPES
+                or fetch_type not in _STATELESS_FETCH_TYPES):
             return None
         return _replay_missmap
+    hp_none = hp_type in _NO_PREDICTION_TYPES
     if tags_type is AlwaysHitTags:
         if not hp_none:
             return None
@@ -125,6 +141,23 @@ def select_kernel(design):
             return None
         return _replay_no_cache
     return None
+
+
+def design_engine(name: str) -> str:
+    """The engine registered design ``name`` replays on: the name of its
+    kernel (``page_set_assoc``, ``direct_mapped``, ...), or ``scalar``.
+
+    Asks :func:`select_kernel` of the design built at a small scale (1GB
+    at 1/4096), so the report cannot drift from the dispatch; coverage
+    depends on component types only, never on capacity.  ``repro
+    designs`` and ``/api/designs`` report it per design.
+    """
+    from repro.sim.registry import DESIGNS
+
+    kernel = select_kernel(DESIGNS.build(name, "1GB", scale=4096))
+    if kernel is None:
+        return "scalar"
+    return kernel.__name__[len("_replay_"):]
 
 
 class _FootprintState:
@@ -310,10 +343,63 @@ def _record(design, cols, hits: int, hit_latency: int, miss_latency: int,
     return stats
 
 
+def _mapi(hp: MissPredictionPolicy, cols):
+    """The MAP-I arm every MAP-I-capable kernel shares.
+
+    Returns None when a core id of the replay falls outside the
+    predictor's per-core tables: ``MissPredictor.predict_miss`` raises
+    ``ValueError`` there, so the kernel declines before touching any state
+    and the scalar engine raises it at the same access.  Otherwise returns
+    ``(latency_cycles, keys, record, flush)``:
+
+    * ``keys`` yields each access's ``(core, counter index)``;
+    * ``record(key, hit)`` is ``MissPredictor.record`` for one access
+      (``was_miss = not hit``): it trains the counter and returns the
+      prediction, counting false misses and false hits;
+    * ``flush(n, misses)`` adds the replay's accuracy, miss-identification,
+      false-miss/false-hit and prediction counts to the predictor.
+    """
+    predictor = hp.predictor
+    cores = cols.core
+    if min(cores) < 0 or max(cores) >= predictor.num_cores:
+        return None
+    tables = predictor._tables
+    threshold = predictor._threshold
+    # MissPredictor.update as lookups: steps[hit][counter] is the trained
+    # counter (a miss saturates up at the maximum, a hit down at zero).
+    counters = range(predictor._max_value + 1)
+    steps = (tuple(min(c + 1, counters[-1]) for c in counters),
+             tuple(max(c - 1, 0) for c in counters))
+    false_misses = false_hits = 0
+
+    def record(key, hit: bool) -> bool:
+        nonlocal false_misses, false_hits
+        core, index = key
+        table = tables[core]
+        counter = table[index]
+        table[index] = steps[hit][counter]
+        if counter >= threshold:
+            false_misses += hit
+            return True
+        false_hits += not hit
+        return False
+
+    def flush(n: int, misses: int) -> None:
+        predictor.predictions += n
+        predictor.accuracy.add(n - false_misses - false_hits, n)
+        predictor.miss_identification.add(misses - false_hits, misses)
+        predictor.false_misses += false_misses
+        predictor.false_hits += false_hits
+
+    indices = cols.mapi_indices(predictor._index_bits,
+                                predictor.entries_per_core)
+    return hp.latency_cycles, zip(cores, indices), record, flush
+
+
 # --------------------------------------------------------------------- #
 # Kernel A: set-associative page organizations (Unison / Footprint Cache)
 # --------------------------------------------------------------------- #
-def _replay_page_set_assoc(design, cols) -> None:
+def _replay_page_set_assoc(design, cols) -> bool:
     tags = design.tags
     is_dram = type(tags) is DramPageTags
     cfg = tags.config
@@ -349,16 +435,26 @@ def _replay_page_set_assoc(design, cols) -> None:
         block_bytes = cfg.block_size
         tag_latency = tags.tag_latency_cycles
 
+    # The hit predictor's per-access column: the way predictor's page
+    # hash, or MAP-I's (core, PC hash) key (the two roles are exclusive).
     hp = design.hit_predictor
     way_pred = type(hp) is WayPredictionPolicy
+    mapi = type(hp) is MissPredictionPolicy
+    pred_lat = 0
     if way_pred:
         predictor = hp.predictor
         wp_table = predictor._table
         wp_assoc = predictor.associativity
         penalty = hp.mispredict_penalty_cycles
-        wp_idx = cols.way_indices(bpp, predictor.index_bits)
+        pred_idx = cols.way_indices(bpp, predictor.index_bits)
+    elif mapi:
+        arm = _mapi(hp, cols)
+        if arm is None:
+            return False
+        pred_lat, pred_idx, mapi_record, mapi_flush = arm
     else:
-        wp_idx = repeat(0)
+        pred_idx = repeat(0)
+    lru_inline = type(design.replacement) is LruReplacement
 
     fetch = design.fetch
     fp = _FootprintState(fetch) if type(fetch) is FootprintFetch else None
@@ -370,12 +466,12 @@ def _replay_page_set_assoc(design, cols) -> None:
     # replay into a large cache costs O(sets touched), not O(capacity).
     # A view holds the set's resident page -> way map (a page resides in
     # at most one frame; allocations happen only on page misses and
-    # evictions delete, so it stays a bijection), its frames, its LRU
-    # policy, and its frames' device addresses, which are pure functions
-    # of the frame index: ``bases[w]`` is the data address of way ``w``'s
-    # first block and, for the in-DRAM layout, ``pres[w]`` / ``meta[w]``
-    # locate its presence and PC/offset metadata (``pres[0]`` is also
-    # the set's tag read).
+    # evictions delete, so it stays a bijection), its frames, its
+    # replacement policy, and its frames' device addresses, which are
+    # pure functions of the frame index: ``bases[w]`` is the data address
+    # of way ``w``'s first block and, for the in-DRAM layout, ``pres[w]``
+    # / ``meta[w]`` locate its presence and PC/offset metadata
+    # (``pres[0]`` is also the set's tag read).
     views = {}
 
     def view_of(set_index):
@@ -404,7 +500,8 @@ def _replay_page_set_assoc(design, cols) -> None:
     hits = hit_lat = miss_lat = 0
     under = bypasses = evicts = wp_right = 0
 
-    for block, pc, is_write, widx in zip(cols.blk, cols.pc, cols.wr, wp_idx):
+    for block, pc, is_write, pidx in zip(cols.blk, cols.pc, cols.wr,
+                                         pred_idx):
         now += gap
         page = block // bpp
         offset = block - page * bpp
@@ -414,24 +511,29 @@ def _replay_page_set_assoc(design, cols) -> None:
         way = ways.get(page, -1)
         if way >= 0:
             frame = set_frames[way]
+            block_hit = (frame.vbits._value >> offset) & 1
             # Way-predictor training (observe) happens on every page hit.
             if way_pred:
-                predicted = wp_table[widx]
-                wp_table[widx] = way
+                predicted = wp_table[pidx]
+                wp_table[pidx] = way
                 correct = predicted == way
                 wp_right += correct
             else:
                 correct = True
+                if mapi:
+                    predicted_miss = mapi_record(pidx, block_hit)
             # tags.touch
             frame.demanded._value |= 1 << offset
             if is_write:
                 frame.dbits._value |= 1 << offset
-            clock = policy._clock + 1
-            policy._clock = clock
-            policy._recency[way] = clock
+            if lru_inline:
+                clock = policy._clock + 1
+                policy._clock = clock
+                policy._recency[way] = clock
+            else:
+                policy.on_access(way)
 
-            if (frame.vbits._value >> offset) & 1:
-                # Block hit.
+            if block_hit:
                 if is_dram:
                     read_way = way if correct else (way + 1) % wp_assoc
                     latency = s_pair(
@@ -450,6 +552,13 @@ def _replay_page_set_assoc(design, cols) -> None:
                                                      now, False)
                     if is_write:
                         s_access(address, block_bytes, now, True)
+                if mapi:
+                    latency += pred_lat
+                    if predicted_miss:
+                        # The (wrongly) issued parallel off-chip read.
+                        m_access(block * BLOCK_SIZE, BLOCK_SIZE, now, False)
+                        m_read += 1
+                        m_req += 1
                 hits += 1
                 hit_lat += latency
                 now += latency
@@ -469,12 +578,14 @@ def _replay_page_set_assoc(design, cols) -> None:
             s_access(bases[way] + offset * block_bytes, block_bytes, now,
                      True)
             under += 1
-            latency = lookup_lat + offchip
+            latency = pred_lat + lookup_lat + offchip
             miss_lat += latency
             now += latency
             continue
 
         # Trigger miss.
+        if mapi:
+            mapi_record(pidx, False)
         if is_dram:
             lookup_lat = s_access(pres[0], pres_set, now, False) + overhead
         else:
@@ -490,7 +601,7 @@ def _replay_page_set_assoc(design, cols) -> None:
                 if note:
                     fp.insert_singleton(page, pc, offset)
                 bypasses += 1
-                latency = lookup_lat + offchip
+                latency = pred_lat + lookup_lat + offchip
                 miss_lat += latency
                 now += latency
                 continue
@@ -502,20 +613,23 @@ def _replay_page_set_assoc(design, cols) -> None:
             footprint = 1 << offset
             from_history = False
 
-        # allocate: LRU victim, evict, fetch, install, device fill.
-        victim = -1
-        for way, frame in enumerate(set_frames):
-            if not frame.valid:
-                victim = way
-                break
-        if victim < 0:
-            recency = policy._recency
-            victim = 0
-            best = recency[0]
-            for way in range(1, assoc):
-                if recency[way] < best:
-                    best = recency[way]
+        # allocate: victim, evict, fetch, install, device fill.
+        if lru_inline:
+            victim = -1
+            for way, frame in enumerate(set_frames):
+                if not frame.valid:
                     victim = way
+                    break
+            if victim < 0:
+                recency = policy._recency
+                victim = 0
+                best = recency[0]
+                for way in range(1, assoc):
+                    if recency[way] < best:
+                        best = recency[way]
+                        victim = way
+        else:
+            victim = policy.victim([frame.valid for frame in set_frames])
         frame = set_frames[victim]
         if frame.valid:
             evicts += 1
@@ -550,15 +664,18 @@ def _replay_page_set_assoc(design, cols) -> None:
         frame.predicted_from_history = from_history
         frame.trigger_pc = pc
         frame.trigger_offset = offset
-        clock = policy._clock + 1
-        policy._clock = clock
-        policy._recency[victim] = clock
+        if lru_inline:
+            clock = policy._clock + 1
+            policy._clock = clock
+            policy._recency[victim] = clock
+        else:
+            policy.on_fill(victim)
         ways[page] = victim
 
         s_burst(bases[victim], block_bytes, footprint, BLOCK_SIZE, now, True)
         if is_dram:
             s_access(pres[victim], pres_pp, now, True)
-        latency = lookup_lat + offchip
+        latency = pred_lat + lookup_lat + offchip
         miss_lat += latency
         now += latency
 
@@ -567,8 +684,9 @@ def _replay_page_set_assoc(design, cols) -> None:
                     m_req)
     misses = cols.n - hits
     allocs = misses - under - bypasses
-    # Each miss demands one block; every other block read is a footprint
-    # block beyond an allocation's trigger, i.e. a prefetch.
+    # Each miss demands one block; every other block read is a prefetch
+    # (a footprint block beyond an allocation's trigger, or a falsely
+    # predicted miss).
     stats.offchip_demand_blocks += misses
     stats.offchip_prefetch_blocks += m_read - misses
     stats.offchip_writeback_blocks += m_written
@@ -581,14 +699,17 @@ def _replay_page_set_assoc(design, cols) -> None:
     if way_pred:
         # The way predictor observes every access to a resident page.
         predictor.accuracy.add(wp_right, hits + under)
+    if mapi:
+        mapi_flush(cols.n, misses)
     if fp is not None:
         fp.flush()
+    return True
 
 
 # --------------------------------------------------------------------- #
 # Kernel B: direct-mapped TAD organization (Alloy, alloy+footprint)
 # --------------------------------------------------------------------- #
-def _replay_direct_mapped(design, cols) -> None:
+def _replay_direct_mapped(design, cols) -> bool:
     tags = design.tags
     cfg = tags.config
     num_blocks = tags.num_blocks
@@ -608,16 +729,13 @@ def _replay_direct_mapped(design, cols) -> None:
     hp = design.hit_predictor
     mapi = type(hp) is MissPredictionPolicy
     if mapi:
-        predictor = hp.predictor
-        mp_tables = predictor._tables
-        mp_max = predictor._max_value
-        mp_threshold = predictor._threshold
-        pred_lat = hp.latency_cycles
-        mp_idx = cols.mapi_indices(predictor._index_bits,
-                                   predictor.entries_per_core)
+        arm = _mapi(hp, cols)
+        if arm is None:
+            return False
+        pred_lat, mp_keys, mapi_record, mapi_flush = arm
     else:
         pred_lat = 0
-        mp_idx = repeat(0)
+        mp_keys = repeat(None)
 
     fetch = design.fetch
     fp = _FootprintState(fetch) if type(fetch) is FootprintFetch else None
@@ -629,24 +747,13 @@ def _replay_direct_mapped(design, cols) -> None:
     gap = design._interarrival
     hits = hit_lat = miss_lat = 0
     bypasses = allocs = evicts = 0
-    # MAP-I outcomes: hits predicted to miss, and misses predicted to hit.
-    false_misses = false_hits = 0
 
-    for block, pc, is_write, core, pidx in zip(cols.blk, cols.pc, cols.wr,
-                                               cols.core, mp_idx):
+    for block, pc, is_write, key in zip(cols.blk, cols.pc, cols.wr,
+                                        mp_keys):
         now += gap
         frame = block % num_blocks
         hit = tag_array[frame] == block // num_blocks
-        if mapi:
-            table = mp_tables[core]
-            counter = table[pidx]
-            predicted_miss = counter >= mp_threshold
-            if hit:
-                table[pidx] = counter - 1 if counter > 0 else 0
-            else:
-                table[pidx] = counter + 1 if counter < mp_max else counter
-        else:
-            predicted_miss = False
+        predicted_miss = mapi and mapi_record(key, hit)
 
         if hit:
             # tags.touch -> region observer demand (multi-block pages only).
@@ -665,7 +772,6 @@ def _replay_direct_mapped(design, cols) -> None:
                 m_access(block * BLOCK_SIZE, BLOCK_SIZE, now, False)
                 m_read += 1
                 m_req += 1
-                false_misses += 1
             if is_write:
                 s_access(tad_address, tad_bytes, now, True)
                 dirty[frame] = True
@@ -678,7 +784,6 @@ def _replay_direct_mapped(design, cols) -> None:
         if predicted_miss:
             lookup_lat = 0
         else:
-            false_hits += 1
             row = frame // blocks_per_row
             lookup_lat = s_access(
                 row * srow_bytes
@@ -800,19 +905,16 @@ def _replay_direct_mapped(design, cols) -> None:
     stats.pages_evicted += evicts
     stats.singleton_bypasses += bypasses
     if mapi:
-        predictor.predictions += n
-        predictor.accuracy.add(n - false_misses - false_hits, n)
-        predictor.miss_identification.add(misses - false_hits, misses)
-        predictor.false_misses += false_misses
-        predictor.false_hits += false_hits
+        mapi_flush(n, misses)
     if fp is not None:
         fp.flush()
+    return True
 
 
 # --------------------------------------------------------------------- #
 # Kernel C: MissMap-fronted set-per-row organization (Loh-Hill)
 # --------------------------------------------------------------------- #
-def _replay_missmap(design, cols) -> None:
+def _replay_missmap(design, cols) -> bool:
     tags = design.tags
     num_sets = tags.num_sets
     assoc = tags.associativity
@@ -829,6 +931,18 @@ def _replay_missmap(design, cols) -> None:
     srow_bytes = design.stacked.row_bytes
     m_read = m_written = m_req = 0
     wb_dirty = type(design.writeback) is WritebackDirtyPolicy
+    lru_inline = type(design.replacement) is LruReplacement
+
+    hp = design.hit_predictor
+    mapi = type(hp) is MissPredictionPolicy
+    if mapi:
+        arm = _mapi(hp, cols)
+        if arm is None:
+            return False
+        pred_lat, mp_keys, mapi_record, mapi_flush = arm
+    else:
+        pred_lat = 0
+        mp_keys = repeat(None)
 
     # Present block -> way per set, maintained alongside the real missmap
     # dict; built when the replay first touches the set, so a short replay
@@ -840,7 +954,7 @@ def _replay_missmap(design, cols) -> None:
     tag_read_bytes = tag_blocks * block_bytes
     hits = hit_lat = miss_lat = evicts = 0
 
-    for block, is_write in zip(cols.blk, cols.wr):
+    for block, is_write, key in zip(cols.blk, cols.wr, mp_keys):
         now += gap
         set_index = block % num_sets
         ways = set_ways.get(set_index)
@@ -852,18 +966,27 @@ def _replay_missmap(design, cols) -> None:
                                             False)
             }
         way = ways.get(block, -1)
+        predicted_miss = mapi and mapi_record(key, way >= 0)
         if way >= 0:
             policy = lru[set_index]
-            policy._clock += 1
-            policy._recency[way] = policy._clock
+            if lru_inline:
+                policy._clock += 1
+                policy._recency[way] = policy._clock
+            else:
+                policy.on_access(way)
             tag_lat = s_access(set_index * srow_bytes, tag_read_bytes, now,
                                False)
             data_lat = s_access(set_index * srow_bytes
                                 + (tag_blocks + way) * block_bytes,
                                 block_bytes, now, False)
+            if predicted_miss:
+                # The (wrongly) issued parallel off-chip read.
+                m_access(block * BLOCK_SIZE, BLOCK_SIZE, now, False)
+                m_read += 1
+                m_req += 1
             if is_write:
                 dirty[set_index][way] = True
-            latency = mm_latency + tag_lat + data_lat
+            latency = pred_lat + mm_latency + tag_lat + data_lat
             hits += 1
             hit_lat += latency
             now += latency
@@ -874,16 +997,20 @@ def _replay_missmap(design, cols) -> None:
         m_read += 1
         m_req += 1
         row_tags = tag_array[set_index]
-        try:
-            victim = row_tags.index(-1)
-        except ValueError:
-            recency = lru[set_index]._recency
-            victim = 0
-            best = recency[0]
-            for way in range(1, assoc):
-                if recency[way] < best:
-                    best = recency[way]
-                    victim = way
+        policy = lru[set_index]
+        if lru_inline:
+            try:
+                victim = row_tags.index(-1)
+            except ValueError:
+                recency = policy._recency
+                victim = 0
+                best = recency[0]
+                for way in range(1, assoc):
+                    if recency[way] < best:
+                        best = recency[way]
+                        victim = way
+        else:
+            victim = policy.victim([tag >= 0 for tag in row_tags])
         victim_tag = row_tags[victim]
         if victim_tag >= 0:
             evicts += 1
@@ -896,16 +1023,18 @@ def _replay_missmap(design, cols) -> None:
                 m_req += 1
         row_tags[victim] = block // num_sets
         dirty[set_index][victim] = is_write
-        policy = lru[set_index]
-        policy._clock += 1
-        policy._recency[victim] = policy._clock
+        if lru_inline:
+            policy._clock += 1
+            policy._recency[victim] = policy._clock
+        else:
+            policy.on_fill(victim)
         missmap[block] = True
         ways[block] = victim
         s_access(set_index * srow_bytes, block_bytes, now, True)
         s_access(set_index * srow_bytes
                  + (tag_blocks + victim) * block_bytes,
                  block_bytes, now, True)
-        latency = mm_latency + offchip
+        latency = pred_lat + mm_latency + offchip
         miss_lat += latency
         now += latency
 
@@ -913,17 +1042,22 @@ def _replay_missmap(design, cols) -> None:
     stats = _record(design, cols, hits, hit_lat, miss_lat, m_read, m_written,
                     m_req)
     misses = cols.n - hits
-    # Every miss allocates its demand block.
+    # Every miss allocates its demand block; every other block read is a
+    # falsely predicted miss.
     stats.offchip_demand_blocks += misses
+    stats.offchip_prefetch_blocks += m_read - misses
     stats.offchip_writeback_blocks += m_written
     stats.pages_allocated += misses
     stats.pages_evicted += evicts
+    if mapi:
+        mapi_flush(cols.n, misses)
+    return True
 
 
 # --------------------------------------------------------------------- #
 # Kernel D: the ideal always-hit reference
 # --------------------------------------------------------------------- #
-def _replay_always_hit(design, cols) -> None:
+def _replay_always_hit(design, cols) -> bool:
     tags = design.tags
     row_bytes = tags.row_buffer_size
     block_bytes = tags.block_size
@@ -943,12 +1077,13 @@ def _replay_always_hit(design, cols) -> None:
 
     design._now = now
     _record(design, cols, cols.n, hit_lat, 0, 0, 0, 0)
+    return True
 
 
 # --------------------------------------------------------------------- #
 # Kernel E: no stacked cache, everything off chip
 # --------------------------------------------------------------------- #
-def _replay_no_cache(design, cols) -> None:
+def _replay_no_cache(design, cols) -> bool:
     m_access = design.memory.controller.access
 
     now = design._now
@@ -967,6 +1102,7 @@ def _replay_no_cache(design, cols) -> None:
     stats = _record(design, cols, 0, 0, miss_lat, m_read, m_written, cols.n)
     stats.offchip_demand_blocks += m_read
     stats.offchip_writeback_blocks += m_written
+    return True
 
 
-__all__ = ["select_kernel"]
+__all__ = ["design_engine", "select_kernel"]

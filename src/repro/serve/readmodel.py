@@ -139,8 +139,10 @@ class ReadModel:
         Spec-registered entries expose their full component breakdown
         (including the replacement role); plain builder entries report
         ``components: null`` -- they predate the declarative layer and
-        have no spec to decompose.
+        have no spec to decompose.  ``engine`` names the batch kernel the
+        design replays through, or ``scalar``.
         """
+        from repro.engine import design_engine
         from repro.sim.factory import design_names
         from repro.sim.registry import DESIGNS
 
@@ -163,6 +165,7 @@ class ReadModel:
                 "description": entry.description,
                 "model": None if spec is None else spec.model,
                 "components": components,
+                "engine": design_engine(entry.name),
             })
         return {"designs": designs}
 

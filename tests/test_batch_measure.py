@@ -10,9 +10,13 @@ draws the trace, the warm/measure split and the chunking of the measure
 stream with hypothesis, for every candidate of
 ``search.space.default_space()`` and every registered design.
 
-Also here: compositions without a kernel still measure on the scalar
-engine, a one-shot iterable is replayed once (not consumed and dropped),
-and the measure spans name the engine that ran.
+Every one of those compositions has a kernel, so the differential test
+also pins that each replay ran on the batch engine.  Also here: a
+subclassed component still measures on the scalar engine, any replacement
+policy object replays through the kernels bit-identically, a core id the
+MAP-I tables do not cover fails the same way on both engines, a one-shot
+iterable is replayed once (not consumed and dropped), and the measure
+spans name the engine that ran.
 """
 
 from __future__ import annotations
@@ -25,7 +29,13 @@ from dataclasses import asdict
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.cache.replacement import NruPolicy
 from repro.config.cache_configs import scaled_capacity
+from repro.dramcache.components import (
+    DemandBlockFetch,
+    MissPredictionPolicy,
+    ReplacementComponent,
+)
 from repro.engine import (
     numpy_available,
     records_to_array,
@@ -54,9 +64,9 @@ def _reset_batch_override(monkeypatch):
     set_batch_enabled(None)
 
 
-def _builder(name):
+def _builder(name, capacity="1GB"):
     if name in CANDIDATES:
-        paper = parse_size("1GB")
+        paper = parse_size(capacity)
         context = DesignBuildContext(
             paper_capacity_bytes=paper,
             scaled_capacity_bytes=scaled_capacity(paper, SCALE),
@@ -64,7 +74,7 @@ def _builder(name):
             num_cores=NUM_CORES,
         )
         return lambda: CANDIDATES[name].build_composed(context)
-    return lambda: DESIGNS.build(name, "1GB", scale=SCALE,
+    return lambda: DESIGNS.build(name, capacity, scale=SCALE,
                                  num_cores=NUM_CORES)
 
 
@@ -138,10 +148,18 @@ def test_batch_measure_equals_scalar_measure(name, replays):
                                                batch=False)
 
     assert scalar_engines == ["scalar"] * len(chunks)
-    covered = select_kernel(build()) is not None
-    assert engines == ["batch" if covered else "scalar"] * len(chunks)
+    assert engines == ["batch"] * len(chunks)
     for key in batch:
         assert batch[key] == scalar[key], key
+
+
+def test_every_composition_has_a_kernel():
+    """All 66 design-space candidates and all 11 registered designs."""
+    assert len(CANDIDATES) == 66
+    assert len(REGISTERED) == 11
+    uncovered = [name for name in sorted(CANDIDATES) + list(REGISTERED)
+                 if select_kernel(_builder(name)()) is None]
+    assert uncovered == []
 
 
 class _RecordingSpan:
@@ -154,11 +172,31 @@ class _RecordingSpan:
         self.counters[name] = self.counters.get(name, 0) + amount
 
 
-@pytest.mark.parametrize("replacement", ["rrip", "random"])
-def test_uncovered_compositions_measure_on_scalar(replacement):
-    name = next(name for name, spec in sorted(CANDIDATES.items())
-                if spec.replacement.kind == replacement)
-    build = _builder(name)
+class _SubclassedFetch(DemandBlockFetch):
+    """Behaves exactly like demand fetch, but is not the exact type."""
+
+
+class _SubclassedMissPrediction(MissPredictionPolicy):
+    """Behaves exactly like MAP-I, but is not the exact type."""
+
+
+def _with_subclassed(role):
+    """Build ``alloy`` with ``role`` swapped for an equivalent subclass."""
+    def build():
+        design = _builder("alloy")()
+        if role == "fetch":
+            design.fetch = _SubclassedFetch()
+        else:
+            hp = design.hit_predictor
+            design.hit_predictor = _SubclassedMissPrediction(
+                hp.predictor, latency_cycles=hp.latency_cycles)
+        return design
+    return build
+
+
+@pytest.mark.parametrize("role", ["fetch", "hit_predictor"])
+def test_uncovered_composition_measures_on_scalar(role):
+    build = _with_subclassed(role)
     assert select_kernel(build()) is None
     trace = _trace(seed=1, working_set="2MB", write_fraction=0.3,
                    length=600)
@@ -173,6 +211,73 @@ def test_uncovered_compositions_measure_on_scalar(replacement):
     for request in trace:
         reference.access(request)
     assert _fingerprint(design) == _fingerprint(reference)
+
+
+class _NruReplacement(ReplacementComponent):
+    """A replacement component no kernel knows: not-recently-used."""
+
+    kind = "nru"
+
+    def make_set_policy(self, associativity, set_index):
+        return NruPolicy(associativity)
+
+
+def _with_nru(name):
+    def build():
+        # A small cache (64KB scaled), so the trace evicts in every set.
+        design = _builder(name, "256MB")()
+        design.replacement = _NruReplacement()
+        design.tags.apply_replacement(design.replacement)
+        return design
+    return build
+
+
+@pytest.mark.parametrize("tags", ["dram-page", "sram-page", "missmap"])
+def test_any_replacement_policy_replays_through_the_kernel(tags):
+    """The kernels drive an unknown per-set policy through its methods."""
+    name = next(name for name, spec in sorted(CANDIDATES.items())
+                if spec.tags.kind == tags
+                and spec.replacement.kind == "lru")
+    build = _with_nru(name)
+    assert select_kernel(build()) is not None
+    trace = _trace(seed=6, working_set="2MB", write_fraction=0.3,
+                   length=3_000)
+    chunks = [trace[1000:2000], trace[2000:]]
+    batch, engines = _warm_and_measure(build, trace[:1000], chunks,
+                                       batch=True)
+    scalar, _ = _warm_and_measure(build, trace[:1000], chunks,
+                                  batch=False)
+    assert engines == ["batch", "batch"]
+    for key in batch:
+        assert batch[key] == scalar[key], key
+    assert batch["cache_stats"]["pages_evicted"] > 0
+
+
+@pytest.mark.parametrize("tags", ["direct-mapped", "dram-page", "missmap"])
+@pytest.mark.parametrize("as_array", [False, True])
+def test_out_of_range_core_fails_like_scalar(tags, as_array):
+    """A core id past the MAP-I tables raises ValueError on both engines,
+    after the same valid prefix, leaving the same partial state."""
+    if as_array and not numpy_available():
+        pytest.skip("numpy not installed")
+    name = next(name for name, spec in sorted(CANDIDATES.items())
+                if spec.tags.kind == tags
+                and spec.hit_predictor.kind == "map-i")
+    build = _builder(name)
+    trace = _trace(seed=7, working_set="2MB", write_fraction=0.3, length=50)
+    trace.append(trace[-1]._replace(core_id=7))  # NUM_CORES is 4
+    stream = records_to_array(trace) if as_array else trace
+
+    fingerprints = []
+    for batch in (True, False):
+        set_batch_enabled(batch)
+        design = build()
+        with pytest.raises(ValueError, match="core_id 7 out of range"):
+            replay(design, stream)
+        assert design.cache_stats.accesses == 50
+        assert design._now > 0
+        fingerprints.append(_fingerprint(design))
+    assert fingerprints[0] == fingerprints[1]
 
 
 class _DuckRecord:

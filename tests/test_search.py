@@ -165,15 +165,16 @@ class TestReplacementRole:
         assert design.cache_stats.hits + design.cache_stats.misses == 2000
         assert design.replacement.kind == kind
 
-    def test_non_lru_design_takes_the_scalar_path(self):
+    def test_non_lru_design_takes_the_same_kernel(self):
         lru = DesignSpec(name="t-lru", tags=ComponentSpec("dram-page"),
                          fetch=ComponentSpec("demand"))
         rrip = DesignSpec(name="t-rrip2", tags=ComponentSpec("dram-page"),
                           fetch=ComponentSpec("demand"),
                           replacement=ComponentSpec("rrip"))
         context = build_context()
-        assert select_kernel(lru.build_composed(context)) is not None
-        assert select_kernel(rrip.build_composed(context)) is None
+        kernel = select_kernel(lru.build_composed(context))
+        assert kernel is not None
+        assert select_kernel(rrip.build_composed(context)) is kernel
 
     def test_parameterless_replacement_rejects_stray_params(self):
         context = build_context()
@@ -542,6 +543,24 @@ class TestDesignSurfaces:
         assert "rrip" in out
         assert "repl=" in out  # per-design breakdown includes the role
 
+    def test_designs_cli_reports_each_engine(self, capsys):
+        from repro.cli import designs_main
+        from repro.sim.factory import design_names
+
+        assert designs_main([]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        engines = {}
+        for index, line in enumerate(lines):
+            if line.strip().startswith("engine="):
+                owner = next(lines[i] for i in range(index, -1, -1)
+                             if not lines[i].startswith(" "))
+                engines[owner.split()[0]] = line.strip()[len("engine="):]
+        assert set(engines) == set(design_names())
+        assert engines["unison"] == "page_set_assoc"
+        assert engines["alloy"] == "direct_mapped"
+        assert engines["loh_hill"] == "missmap"
+        assert "scalar" not in engines.values()
+
     def test_api_designs_route(self, queue_root):
         from repro.serve.api import handle_request
         from repro.serve.readmodel import ReadModel
@@ -556,3 +575,6 @@ class TestDesignSurfaces:
                 assert "replacement" in design["components"]
         assert (by_name["unison"]["components"]["replacement"]["kind"]
                 == "lru")
+        assert by_name["unison"]["engine"] == "page_set_assoc"
+        assert by_name["ideal"]["engine"] == "always_hit"
+        assert all(d["engine"] != "scalar" for d in data["designs"])
